@@ -78,12 +78,11 @@ def _observable_rows(intensities: np.ndarray):
     return var, pr, nerr
 
 
-def _evolve_intensities(cfg: ExperimentConfig, lattice, psi0, zgrid) -> np.ndarray:
-    h = build_hamiltonian(lattice)
+def _evolve_intensities(cfg: ExperimentConfig, h, psi0, zgrid, decomp=None) -> np.ndarray:
     if cfg.propagator["method"] == "chebyshev":
         snap = evolve_chebyshev(h, psi0, zgrid, tol=cfg.propagator["tol"])
     else:
-        snap = evolve_eigen(h, psi0, zgrid)
+        snap = evolve_eigen(h, psi0, zgrid, decomp=decomp)
     return snap.intensities()
 
 
@@ -102,7 +101,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
 
     if cfg.experiment == "ballistic":
         psi0 = make_initial_state(cfg.initial(), lattice.n_sites)
-        intensities = _evolve_intensities(cfg, lattice, psi0, zgrid)
+        intensities = _evolve_intensities(cfg, build_hamiltonian(lattice), psi0, zgrid)
     elif cfg.experiment == "disorder":
         stats = run_ensemble(
             lattice, cfg.disorder_spec(), cfg.initial(), zgrid,
@@ -125,17 +124,18 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
         for i, z in enumerate(zvals):
             intensities[i] = classical_ctrw_distribution(j0, gamma, z, lattice.n_sites).probs
     elif cfg.experiment == "boundary_sweep":
-        # carpet: one evolution operator at the final z serves every input site
+        # carpet: the swept rows of the evolution operator at the final z,
+        # U[lo:hi+1] = V[lo:hi+1] exp(-i Lambda z) V^T (U is symmetric), with
+        # real and imaginary parts as real products so no N x N complex array forms
         h = build_hamiltonian(lattice)
         dec = decompose(h)
         v = dec.eigenvectors
-        phases = np.exp(-1j * dec.eigenvalues * zvals[-1])
-        propagator_zf = (v * phases) @ v.T
         lo, hi = cfg.sweep["input_min"], cfg.sweep["input_max"]
-        carpet = np.abs(propagator_zf[:, lo : hi + 1].T) ** 2
+        rows = v[lo : hi + 1] * np.exp(-1j * dec.eigenvalues * zvals[-1])
+        carpet = (rows.real @ v.T) ** 2 + (rows.imag @ v.T) ** 2
         # the z-resolved files track the input closest to the wall
         psi0 = make_initial_state(SingleSite(lo), lattice.n_sites)
-        intensities = _evolve_intensities(cfg, lattice, psi0, zgrid)
+        intensities = _evolve_intensities(cfg, h, psi0, zgrid, decomp=dec)
     else:  # pragma: no cover - load_config guards the enum
         raise ConfigError(f"experiment: unknown experiment {cfg.experiment!r}")
 

@@ -2,23 +2,23 @@
 
 Seeding contract: realization k draws from a generator seeded by
 (master_seed, spawn_key=(k,)) — a pure function of the pair, so any subset
-of realizations can be reproduced in isolation and results never depend on
-scheduling. Accumulation runs over fixed blocks of realizations reduced in
-index order, which makes ensemble statistics bit-identical across runs and
-across worker counts (workers come from the WAVEWALK_WORKERS environment
-variable, defaulting to all cores).
+of realizations can be reproduced in isolation. Accumulation runs over fixed
+blocks of realizations, in the calling thread, reduced in index order, which
+makes ensemble statistics bit-identical across runs.
+
+A dephasing block propagates as one (R, n) array: each noise segment is one
+Chebyshev recurrence over all R histories, on a spectral enclosure that
+holds for every segment Hamiltonian of every history.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .lattice import (
-    Boundary,
     Hamiltonian,
     InitialState,
     LatticeSpec,
@@ -27,17 +27,23 @@ from .lattice import (
     make_initial_state,
 )
 from .observables import participation_ratio, spread_variance
-from .propagators import Snapshots, ZGrid, decompose, evolve_chebyshev, evolve_eigen
+from .propagators import (
+    ZGrid,
+    _chebyshev_coefficients,
+    decompose,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.decompose
+    evolve_chebyshev,
+    evolve_eigen,
+    spectral_bounds,
+)
 
-_BLOCK = 64  # realizations per reduction block; fixed so results never depend on workers
+_BLOCK = 64  # realizations per reduction block; fixed so results never depend on it
+_DEPHASING_TOL = 1e-12  # Chebyshev coefficient tail per segment, as evolve_chebyshev
 
 
 def worker_count() -> int:
-    """Worker threads for ensemble blocks (WAVEWALK_WORKERS, default all cores)."""
-    env = os.environ.get("WAVEWALK_WORKERS", "").strip()
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+    """Always 1: ensembles run in the calling thread. ``WAVEWALK_WORKERS`` is
+    no longer read; this function stays for one release so callers keep working."""
+    return 1
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,9 @@ class EnsembleStats:
             object.__setattr__(self, name, arr)
         row_sums = np.sum(self.mean_intensity, axis=1)
         worst = float(np.max(np.abs(row_sums - 1.0)))
-        if worst > 1e-8:
+        if not worst <= 1e-8:  # written so that NaN fails
             raise ValueError(f"mean intensity rows sum off by {worst:.3e} (> 1e-8)")
-        if np.any(self.sem_intensity < 0.0):
+        if not np.all(self.sem_intensity >= 0.0):
             raise ValueError("SEM must be nonnegative")
 
 
@@ -129,53 +135,33 @@ def sample_disordered_lattice(
     )
 
 
-def _trace_rows(intensities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    nz = intensities.shape[0]
-    var = np.empty(nz)
-    pr = np.empty(nz)
-    for i in range(nz):
-        var[i] = spread_variance(intensities[i])
-        pr[i] = participation_ratio(intensities[i])
-    return var, pr
+def _zero_sums(nz: int, n: int):
+    """Running sums of one reduction: s, s^2 per site, variance and PR per row."""
+    return np.zeros((nz, n)), np.zeros((nz, n)), np.zeros(nz), np.zeros(nz)
 
 
-def _block_partials(intensity_fn, k_lo: int, k_hi: int, nz: int, n: int):
-    """Sequential accumulation over one block of realizations."""
-    s = np.zeros((nz, n))
-    s2 = np.zeros((nz, n))
-    var_sum = np.zeros(nz)
-    pr_sum = np.zeros(nz)
-    for k in range(k_lo, k_hi):
-        inten = intensity_fn(k)
-        s += inten
-        s2 += inten * inten
-        var_k, pr_k = _trace_rows(inten)
-        var_sum += var_k
-        pr_sum += pr_k
-    return s, s2, var_sum, pr_sum
+def _add_rows(sums, rows, inten: np.ndarray) -> None:
+    """Add a stack of realizations (leading axis) at grid rows ``rows``."""
+    s, s2, var_sum, pr_sum = sums
+    s[rows] += np.sum(inten, axis=0)
+    s2[rows] += np.sum(inten * inten, axis=0)
+    var_sum[rows] += np.sum(spread_variance(inten), axis=0)
+    pr_sum[rows] += np.sum(participation_ratio(inten), axis=0)
 
 
-def _reduce_ensemble(intensity_fn, zgrid: ZGrid, n_realizations: int, n: int) -> EnsembleStats:
+def _reduce_ensemble(block_rows, zgrid: ZGrid, n_realizations: int, n: int) -> EnsembleStats:
+    """``block_rows(lo, hi)`` yields (grid rows, intensities) pairs covering
+    realizations lo..hi-1; intensities carry one realization per leading index."""
     nz = len(zgrid)
-    blocks = [(lo, min(lo + _BLOCK, n_realizations)) for lo in range(0, n_realizations, _BLOCK)]
-    workers = min(worker_count(), len(blocks))
-    if workers <= 1:
-        partials = [_block_partials(intensity_fn, lo, hi, nz, n) for lo, hi in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda b: _block_partials(intensity_fn, b[0], b[1], nz, n), blocks)
-            )
-    # fixed-order reduction over blocks: identical result for any worker count
-    s = np.zeros((nz, n))
-    s2 = np.zeros((nz, n))
-    var_sum = np.zeros(nz)
-    pr_sum = np.zeros(nz)
-    for bs, bs2, bv, bp in partials:
-        s += bs
-        s2 += bs2
-        var_sum += bv
-        pr_sum += bp
+    total = _zero_sums(nz, n)
+    for lo in range(0, n_realizations, _BLOCK):
+        block = _zero_sums(nz, n)
+        for rows, inten in block_rows(lo, min(lo + _BLOCK, n_realizations)):
+            _add_rows(block, rows, inten)
+        # fixed-order reduction over blocks
+        for acc, part in zip(total, block):
+            acc += part
+    s, s2, var_sum, pr_sum = total
     nr = float(n_realizations)
     mean = s / nr
     if n_realizations > 1:
@@ -211,56 +197,84 @@ def run_ensemble(
     psi0 = make_initial_state(init, base.n_sites)
     policy = SeedPolicy(master_seed)
 
-    def intensity_fn(k: int) -> np.ndarray:
-        spec_k = sample_disordered_lattice(base, d, policy, k)
-        h = build_hamiltonian(spec_k)
-        if method == "eigen":
-            snap = evolve_eigen(h, psi0, zgrid)
-        else:
-            snap = evolve_chebyshev(h, psi0, zgrid, tol=tol)
-        return snap.intensities()
+    def block_rows(k_lo: int, k_hi: int):
+        for k in range(k_lo, k_hi):
+            h = build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
+            if method == "eigen":
+                snap = evolve_eigen(h, psi0, zgrid)
+            else:
+                snap = evolve_chebyshev(h, psi0, zgrid, tol=tol)
+            yield slice(None), snap.intensities()[None]
 
-    return _reduce_ensemble(intensity_fn, zgrid, n_realizations, base.n_sites)
+    return _reduce_ensemble(block_rows, zgrid, n_realizations, base.n_sites)
 
 
-def _dephasing_realization(
+def _dephasing_block_rows(
     h0: Hamiltonian,
     psi0: WaveFunction,
     zgrid: ZGrid,
     deph: DephasingSpec,
-    policy: SeedPolicy,
-    k: int,
     n_segments: int,
-) -> np.ndarray:
-    """One noise history: piecewise-constant random diagonals, unitary per segment."""
+    policy: SeedPolicy,
+):
+    """The block function of a dephasing ensemble: ``block_rows(k_lo, k_hi)``
+    propagates noise histories k_lo..k_hi-1 together, each drawing its segment
+    noise in order from its own stream, and yields (row, I) one grid row at a
+    time, with I of shape (k_hi - k_lo, n_sites).
+
+    What every history shares is set up once: the spectral enclosure (the
+    Gershgorin discs of H0 widened by the largest noise amplitude hold every
+    H0 + diag(noise)), the grid rows met in each segment with their offsets
+    from its start, and one Chebyshev coefficient set per distinct offset."""
     n = h0.n_sites
-    rng = policy.stream(k)
-    w = deph.phase_strength
-    noise = rng.uniform(-0.5 * w, 0.5 * w, size=(n_segments, n))
-    zvals = zgrid.values
-    nz = zvals.size
-    out = np.empty((nz, n))
-    gi = 0
-    if zvals[0] == 0.0:
-        out[0] = np.abs(psi0.amps) ** 2
-        gi = 1
-    psi = psi0.amps.copy()
+    half = 0.5 * deph.phase_strength
+    emin, emax = spectral_bounds(h0)
+    emin, emax = emin - half, emax + half
+    center, halfwidth = 0.5 * (emax + emin), 0.5 * (emax - emin)
     dz = deph.segment_length
+    zvals = zgrid.values
+    starts_at_zero = zvals[0] == 0.0
+    gi = 1 if starts_at_zero else 0
+    segments = []
     for s in range(n_segments):
         z_start = s * dz
         z_end = (s + 1) * dz
-        h_s = Hamiltonian(diag=h0.diag + noise[s], offdiag=h0.offdiag, corner=h0.corner)
-        dec = decompose(h_s)
-        v = dec.eigenvectors
-        coeff = v.T @ psi
-        while gi < nz and zvals[gi] <= z_end + 1e-9 * max(1.0, z_end):
-            amp = v @ (np.exp(-1j * dec.eigenvalues * (zvals[gi] - z_start)) * coeff)
-            out[gi] = np.abs(amp) ** 2
+        met = []
+        while gi < zvals.size and zvals[gi] <= z_end + 1e-9 * max(1.0, z_end):
+            met.append((gi, float(zvals[gi] - z_start)))
             gi += 1
-        psi = v @ (np.exp(-1j * dec.eigenvalues * dz) * coeff)
-    if gi < nz:
+        segments.append(met)
+    if gi < zvals.size:
         raise ValueError("zgrid extends past the final noise segment")
-    return out
+    offsets = {dz} | {dt for met in segments for _, dt in met}
+    coeffs = {dt: _chebyshev_coefficients(halfwidth * dt, _DEPHASING_TOL) for dt in offsets}
+
+    def block_rows(k_lo: int, k_hi: int):
+        rngs = [policy.stream(k) for k in range(k_lo, k_hi)]
+        psi = np.tile(psi0.amps, (len(rngs), 1))
+        if starts_at_zero:
+            yield 0, np.abs(psi) ** 2
+        noise = np.empty((len(rngs), n))
+
+        def advance(diag, dt):
+            amps = kernels.chebyshev_apply(
+                diag, h0.offdiag, h0.corner, center, halfwidth, coeffs[dt], psi
+            )
+            return np.exp(-1j * center * dt) * amps
+
+        for met in segments:
+            for r, rng in enumerate(rngs):
+                noise[r] = rng.uniform(-half, half, size=n)
+            diag = h0.diag + noise
+            for row, dt in met:
+                if dt != dz:
+                    yield row, np.abs(advance(diag, dt)) ** 2
+            psi = advance(diag, dz)
+            for row, dt in met:
+                if dt == dz:
+                    yield row, np.abs(psi) ** 2
+
+    return block_rows
 
 
 def evolve_dephasing(
@@ -285,20 +299,14 @@ def evolve_dephasing(
     h0 = build_hamiltonian(base)
     psi0 = make_initial_state(init, base.n_sites)
     if deph.phase_strength == 0.0:
-        snap = evolve_eigen(h0, psi0, zgrid)
-        inten = snap.intensities()
-        var, pr = _trace_rows(inten)
+        inten = evolve_eigen(h0, psi0, zgrid).intensities()
         return EnsembleStats(
             n_realizations=n_realizations,
             zgrid=zgrid,
             mean_intensity=inten,
             sem_intensity=np.zeros_like(inten),
-            variance_trace=var,
-            pr_trace=pr,
+            variance_trace=spread_variance(inten),
+            pr_trace=participation_ratio(inten),
         )
-    policy = SeedPolicy(master_seed)
-
-    def intensity_fn(k: int) -> np.ndarray:
-        return _dephasing_realization(h0, psi0, zgrid, deph, policy, k, n_segments)
-
-    return _reduce_ensemble(intensity_fn, zgrid, n_realizations, base.n_sites)
+    block_rows = _dephasing_block_rows(h0, psi0, zgrid, deph, n_segments, SeedPolicy(master_seed))
+    return _reduce_ensemble(block_rows, zgrid, n_realizations, base.n_sites)

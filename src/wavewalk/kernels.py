@@ -51,13 +51,15 @@ def backend() -> str:
 # ---------------------------------------------------------------------------
 
 def tridiag_matvec_np(diag, off, corner, x):
-    """y = H x for H real symmetric tridiagonal, corner couples sites 0 and n-1."""
+    """y = H x along the last axis of x, for H real symmetric tridiagonal;
+    corner couples sites 0 and n-1. ``diag`` may carry one row per leading
+    index of x (a block of Hamiltonians sharing off and corner)."""
     y = diag * x
-    y[:-1] += off * x[1:]
-    y[1:] += off * x[:-1]
+    y[..., :-1] += off * x[..., 1:]
+    y[..., 1:] += off * x[..., :-1]
     if corner != 0.0:
-        y[0] += corner * x[-1]
-        y[-1] += corner * x[0]
+        y[..., 0] += corner * x[..., -1]
+        y[..., -1] += corner * x[..., 0]
     return y
 
 
@@ -85,19 +87,22 @@ def tridiag_matvec_nb(diag, off, corner, x):
 
 # ---------------------------------------------------------------------------
 # Chebyshev propagator core:  sum_k coeffs[k] T_k(Hs) psi,
-# with Hs = (H - center) / halfwidth rescaled to spectrum within [-1, 1]
+# with Hs = (H - center) / halfwidth rescaled to spectrum within [-1, 1].
+# The numpy path acts on the last axis of psi, so a block of states (one per
+# row, each with its own diagonal row) runs as one recurrence.
 # ---------------------------------------------------------------------------
 
 def chebyshev_apply_np(diag, off, corner, center, halfwidth, coeffs, psi):
     inv = 1.0 / halfwidth
+    shifted = diag - center
     t0 = psi.astype(np.complex128, copy=True)
     acc = coeffs[0] * t0
     if coeffs.shape[0] == 1:
         return acc
-    t1 = inv * (tridiag_matvec_np(diag - center, off, corner, t0))
+    t1 = inv * (tridiag_matvec_np(shifted, off, corner, t0))
     acc += coeffs[1] * t1
     for k in range(2, coeffs.shape[0]):
-        t2 = 2.0 * inv * tridiag_matvec_np(diag - center, off, corner, t1) - t0
+        t2 = 2.0 * inv * tridiag_matvec_np(shifted, off, corner, t1) - t0
         acc += coeffs[k] * t2
         t0, t1 = t1, t2
     return acc
@@ -248,8 +253,12 @@ else:
 # active-backend aliases
 if HAVE_NUMBA:
     tridiag_matvec = tridiag_matvec_nb
-    chebyshev_apply = chebyshev_apply_nb
     rk4_evolve = rk4_evolve_nb
+
+    def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi):
+        # the compiled kernel takes one state; a block of states runs on numpy
+        impl = chebyshev_apply_nb if psi.ndim == 1 else chebyshev_apply_np
+        return impl(diag, off, corner, center, halfwidth, coeffs, psi)
 else:
     tridiag_matvec = tridiag_matvec_np
     chebyshev_apply = chebyshev_apply_np

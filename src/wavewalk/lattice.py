@@ -165,7 +165,7 @@ class WaveFunction:
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        if abs(nrm - 1.0) > self.norm_tol:
+        if not abs(nrm - 1.0) <= self.norm_tol:  # written so that NaN fails
             raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {self.norm_tol}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)

@@ -16,18 +16,30 @@ def intensity(psi: WaveFunction) -> ProbabilityDist:
     return ProbabilityDist(np.abs(psi.amps) ** 2)
 
 
-def spread_variance(p: ProbabilityDist | np.ndarray) -> float:
-    """Second central moment of the site index."""
-    probs = p.probs if isinstance(p, ProbabilityDist) else np.asarray(p, dtype=np.float64)
-    sites = np.arange(probs.shape[0], dtype=np.float64)
-    mu = float(np.dot(sites, probs))
-    return float(np.dot((sites - mu) ** 2, probs))
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product over the last axis, one BLAS dot per row, so every row of
+    a stack gives the bits of the same 1-d call."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def participation_ratio(p: ProbabilityDist | np.ndarray) -> float:
-    """1 / sum_j p_j^2 — effective number of occupied sites, in [1, n]."""
+def _scalar_if_1d(x: np.ndarray) -> float | np.ndarray:
+    return float(x) if x.ndim == 0 else x
+
+
+def spread_variance(p: ProbabilityDist | np.ndarray) -> float | np.ndarray:
+    """Second central moment of the site index (last axis; one value per row
+    of a stack). Two passes: the mean first, then the centered moment."""
     probs = p.probs if isinstance(p, ProbabilityDist) else np.asarray(p, dtype=np.float64)
-    return float(1.0 / np.sum(probs**2))
+    sites = np.arange(probs.shape[-1], dtype=np.float64)
+    mu = _row_dot(probs, sites)
+    return _scalar_if_1d(_row_dot((sites - mu[..., None]) ** 2, probs))
+
+
+def participation_ratio(p: ProbabilityDist | np.ndarray) -> float | np.ndarray:
+    """1 / sum_j p_j^2 — effective number of occupied sites, in [1, n]
+    (last axis; one value per row of a stack)."""
+    probs = p.probs if isinstance(p, ProbabilityDist) else np.asarray(p, dtype=np.float64)
+    return _scalar_if_1d(1.0 / np.sum(probs**2, axis=-1))
 
 
 def total_variation_distance(p, q) -> float:

@@ -38,10 +38,10 @@ class ProbabilityDist:
 
     def __post_init__(self):
         p = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if np.any(p < 0.0):
+        if not np.all(p >= 0.0):  # written so that NaN fails
             raise ValueError("probabilities must be nonnegative")
         total = float(np.sum(p))
-        if abs(total - 1.0) > self.tol:
+        if not abs(total - 1.0) <= self.tol:
             raise ValueError(f"probabilities sum to {total!r}, off by more than {self.tol}")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)

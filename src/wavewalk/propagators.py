@@ -57,7 +57,7 @@ class Snapshots:
             raise ValueError("one state per grid point required")
         norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
         worst = float(np.max(np.abs(norms - 1.0)))
-        if worst > self.norm_tol:
+        if not worst <= self.norm_tol:  # written so that NaN fails
             raise ValueError(f"snapshot norm drift {worst:.3e} exceeds {self.norm_tol}")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)

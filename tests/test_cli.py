@@ -1,10 +1,15 @@
 """CLI harness: artifacts, exit codes, reproducibility."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wavewalk
 from wavewalk import bessel_free_state, image_boundary_state, validate_config
 from wavewalk.cli import main
 
@@ -122,6 +127,30 @@ def test_formats_control_outputs(tmp_path):
     main(["simulate", str(cfg)])
     assert (out / "run.json").exists()
     assert not (out / "intensity.csv").exists()
+
+
+def test_workers_variable_is_ignored(tmp_path):
+    # WAVEWALK_WORKERS is a no-op: even a value that is not a number runs cleanly
+    out = tmp_path / "out"
+    cfg = _write_cfg(
+        tmp_path, "d.json",
+        {
+            "experiment": "disorder",
+            "lattice": {"n_sites": 31},
+            "zgrid": {"stop": 2.0, "steps": 3},
+            "disorder": {"offdiag_strength": 0.5},
+            "n_realizations": 5,
+            "output": {"directory": str(out), "formats": ["csv"]},
+        },
+    )
+    src = str(Path(wavewalk.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, WAVEWALK_WORKERS="abc", PYTHONPATH=pythonpath)
+    run = subprocess.run([sys.executable, "-m", "wavewalk", "simulate", str(cfg)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert "Traceback" not in run.stderr
+    assert (out / "intensity.csv").is_file()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from wavewalk import (
+    Boundary,
     DephasingSpec,
+    DiagConvention,
     DisorderSpec,
+    EnsembleStats,
+    GaussianBeam,
+    Hamiltonian,
+    LatticeSpec,
     SeedPolicy,
     SingleSite,
     ZGrid,
     build_hamiltonian,
+    decompose,
     evolve_dephasing,
     evolve_eigen,
     make_initial_state,
@@ -18,7 +25,7 @@ from wavewalk import (
     sample_disordered_lattice,
     uniform_lattice,
 )
-from wavewalk.ensembles import _dephasing_realization
+from wavewalk.ensembles import _dephasing_block_rows
 
 
 BASE = uniform_lattice(99)
@@ -163,14 +170,108 @@ def test_dephasing_requires_whole_segments():
         evolve_dephasing(lat, DephasingSpec(0.5, 4.0), SingleSite(15), grid, 2, 0)
 
 
+def _block(h, psi0, grid, deph, seed, k_lo, k_hi):
+    """Intensities (history, z, site) of histories k_lo..k_hi-1, propagated as one block."""
+    n_segments = int(round(grid.values[-1] / deph.segment_length))
+    block_rows = _dephasing_block_rows(h, psi0, grid, deph, n_segments, SeedPolicy(seed))
+    out = np.full((k_hi - k_lo, len(grid), h.n_sites), np.nan)
+    for row, inten in block_rows(k_lo, k_hi):
+        out[:, row] = inten
+    return out
+
+
+def _eigen_reference(h, psi0, grid, deph, seed, k):
+    """One noise history by exact diagonalization of every segment Hamiltonian.
+
+    The noise is drawn as one (n_segments, n_sites) array from the history's
+    stream, so this also pins the segment-by-segment draw order."""
+    dz = deph.segment_length
+    zvals = grid.values
+    n_segments = int(round(zvals[-1] / dz))
+    half = 0.5 * deph.phase_strength
+    noise = SeedPolicy(seed).stream(k).uniform(-half, half, size=(n_segments, h.n_sites))
+    out = np.empty((zvals.size, h.n_sites))
+    gi = 0
+    if zvals[0] == 0.0:
+        out[0] = np.abs(psi0.amps) ** 2
+        gi = 1
+    psi = psi0.amps.copy()
+    for s in range(n_segments):
+        z_start, z_end = s * dz, (s + 1) * dz
+        dec = decompose(Hamiltonian(diag=h.diag + noise[s], offdiag=h.offdiag, corner=h.corner))
+        coeff = dec.eigenvectors.T @ psi
+        while gi < zvals.size and zvals[gi] <= z_end + 1e-9 * max(1.0, z_end):
+            phase = np.exp(-1j * dec.eigenvalues * (zvals[gi] - z_start))
+            out[gi] = np.abs(dec.eigenvectors @ (phase * coeff)) ** 2
+            gi += 1
+        psi = dec.eigenvectors @ (np.exp(-1j * dec.eigenvalues * dz) * coeff)
+    assert gi == zvals.size
+    return out
+
+
+_RNG = np.random.default_rng(8)
+BLOCK_CASES = {
+    # grid points inside segments, on segment ends, and at z = 0
+    "open_inside_segments": (uniform_lattice(41), np.array([0.0, 0.3, 1.0, 1.7, 2.2, 3.0]), 1.0),
+    # the ring's corner coupling widens the Gershgorin enclosure
+    "periodic_ring": (
+        uniform_lattice(30, boundary=Boundary.PERIODIC), np.linspace(0.5, 4.0, 8), 0.5,
+    ),
+    "nonzero_beta": (
+        LatticeSpec(35, _RNG.uniform(0.6, 1.4, size=34), _RNG.uniform(-1.0, 1.0, size=35)),
+        np.array([0.2, 1.5, 3.0]), 0.75,
+    ),
+    "minus_degree_gamma": (
+        uniform_lattice(33, coupling=1.3, diag_convention=DiagConvention.MINUS_DEGREE_GAMMA),
+        np.linspace(0.0, 3.0, 7), 0.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_dephasing_block_matches_per_segment_eigen_reference(case):
+    lat, zvals, dz = BLOCK_CASES[case]
+    h = build_hamiltonian(lat)
+    psi0 = make_initial_state(GaussianBeam(lat.n_sites / 2, 1.5, 0.4), lat.n_sites)
+    grid = ZGrid(zvals)
+    deph = DephasingSpec(dz, 7.0)
+    got = _block(h, psi0, grid, deph, 13, 3, 9)
+    for r, k in enumerate(range(3, 9)):
+        ref = _eigen_reference(h, psi0, grid, deph, 13, k)
+        assert np.max(np.abs(got[r] - ref)) < 1e-10
+
+
+def test_dephasing_block_size_does_not_change_histories():
+    lat = uniform_lattice(41)
+    h = build_hamiltonian(lat)
+    psi0 = make_initial_state(SingleSite(20), 41)
+    grid = ZGrid(np.array([0.0, 0.6, 2.0, 5.0]))
+    deph = DephasingSpec(0.5, 6.0)
+    full = _block(h, psi0, grid, deph, 4, 0, 64)
+    for k in (0, 17, 63):
+        assert np.array_equal(_block(h, psi0, grid, deph, 4, k, k + 1)[0], full[k])
+
+
+def test_dephasing_ensemble_mean_matches_per_segment_eigen_reference():
+    # two reduction blocks; the mean over histories against the reference's
+    lat = uniform_lattice(31)
+    h = build_hamiltonian(lat)
+    psi0 = make_initial_state(SingleSite(15), 31)
+    grid = ZGrid(np.linspace(0.0, 3.0, 7))
+    deph = DephasingSpec(0.5, 8.0)
+    stats = evolve_dephasing(lat, deph, SingleSite(15), grid, 70, 6)
+    ref = np.mean([_eigen_reference(h, psi0, grid, deph, 6, k) for k in range(70)], axis=0)
+    assert np.max(np.abs(stats.mean_intensity - ref)) < 1e-10
+
+
 def test_dephasing_realizations_stay_unit_norm():
     lat = uniform_lattice(61)
     h = build_hamiltonian(lat)
     psi0 = make_initial_state(SingleSite(30), 61)
     grid = ZGrid(np.array([0.0, 1.0, 4.0, 8.0]))
+    inten = _block(h, psi0, grid, DephasingSpec(0.25, 8.0), 5, 0, 4)
     for k in range(4):
-        inten = _dephasing_realization(h, psi0, grid, DephasingSpec(0.25, 8.0), SeedPolicy(5), k, 32)
-        assert np.max(np.abs(inten.sum(axis=1) - 1.0)) < 1e-9
+        assert np.max(np.abs(inten[k].sum(axis=1) - 1.0)) < 1e-9
 
 
 def test_dephasing_grid_points_inside_segments():
@@ -182,11 +283,10 @@ def test_dephasing_grid_points_inside_segments():
     deph = DephasingSpec(1.0, 6.0)
     grid = ZGrid(np.array([0.3, 1.7, 2.0]))
     k = 2
-    inten = _dephasing_realization(h, psi0, grid, deph, SeedPolicy(21), k, 2)
+    inten = _block(h, psi0, grid, deph, 21, k, k + 1)[0]
 
     rng = SeedPolicy(21).stream(k)
     noise = rng.uniform(-3.0, 3.0, size=(2, 41))
-    from wavewalk import Hamiltonian
 
     def seg_evolve(psi, seg, dz):
         hs = Hamiltonian(diag=h.diag + noise[seg], offdiag=h.offdiag, corner=h.corner)
@@ -197,6 +297,12 @@ def test_dephasing_grid_points_inside_segments():
     p3 = seg_evolve(seg_evolve(psi0, 0, 1.0), 1, 1.0)
     for row, wf in zip(inten, (p1, p2, p3)):
         assert np.max(np.abs(row - np.abs(wf.amps) ** 2)) < 1e-12
+
+
+def test_ensemble_stats_reject_nan():
+    nan_mean = np.array([[np.nan, 0.0]])
+    with pytest.raises(ValueError):
+        EnsembleStats(1, ZGrid(np.array([0.0])), nan_mean, np.zeros((1, 2)), np.zeros(1), np.ones(1))
 
 
 def test_strong_dephasing_slows_spread():

@@ -86,6 +86,24 @@ def test_matvec_against_dense():
     assert np.max(np.abs(got - expected)) < 1e-13
 
 
+@pytest.mark.parametrize("corner", [0.0, 0.7])
+def test_numpy_kernels_act_row_by_row_on_a_block(corner):
+    # a block of states with one diagonal row each equals the 1-d calls, bit for bit
+    n, rows = 40, 6
+    r = rng(7)
+    diag = r.normal(size=(rows, n))
+    off = r.uniform(0.5, 1.5, size=n - 1)
+    x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
+    coeffs = r.normal(size=12) + 1j * r.normal(size=12)
+    y = kernels.tridiag_matvec_np(diag, off, corner, x)
+    acc = kernels.chebyshev_apply_np(diag, off, corner, 0.3, 5.0, coeffs, x)
+    for i in range(rows):
+        assert np.array_equal(y[i], kernels.tridiag_matvec_np(diag[i], off, corner, x[i]))
+        assert np.array_equal(
+            acc[i], kernels.chebyshev_apply_np(diag[i], off, corner, 0.3, 5.0, coeffs, x[i])
+        )
+
+
 def test_chebyshev_apply_backends_agree():
     diag, off, x = _random_problem(80, 3)
     # enclose the spectrum so T_k(H_scaled) stays bounded, as in real use

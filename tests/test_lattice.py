@@ -165,3 +165,8 @@ def test_invalid_initial_states_rejected(state, n):
 def test_wavefunction_rejects_bad_norm():
     with pytest.raises(ValueError):
         WaveFunction(np.array([1.0, 1.0], dtype=complex))
+
+
+def test_wavefunction_rejects_nan():
+    with pytest.raises(ValueError):
+        WaveFunction(np.array([np.nan, 0.0], dtype=complex))

@@ -69,6 +69,20 @@ def test_participation_ratio_permutation_invariant():
     assert participation_ratio(p) == pytest.approx(participation_ratio(p[r.permutation(12)]), abs=1e-12)
 
 
+def test_traces_of_a_stack_equal_row_by_row_calls():
+    # a (R, nz, n) stack gives, bit for bit, the 1-d result of every row
+    r = np.random.default_rng(4)
+    stack = r.uniform(0.0, 1.0, size=(5, 3, 57))
+    stack /= stack.sum(axis=-1, keepdims=True)
+    var = spread_variance(stack)
+    pr = participation_ratio(stack)
+    assert var.shape == pr.shape == (5, 3)
+    for idx in np.ndindex(5, 3):
+        v1, p1 = spread_variance(stack[idx]), participation_ratio(stack[idx])
+        assert type(v1) is float and type(p1) is float
+        assert var[idx] == v1 and pr[idx] == p1
+
+
 def test_clean_pr_grows_with_z():
     n = 301
     h = build_hamiltonian(uniform_lattice(n))

@@ -213,3 +213,9 @@ def test_probability_dist_validation():
         ProbabilityDist(np.array([0.5, 0.6]))
     with pytest.raises(ValueError):
         ProbabilityDist(np.array([-0.1, 1.1]))
+
+
+@pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.nan, np.nan]])
+def test_probability_dist_rejects_nan(probs):
+    with pytest.raises(ValueError):
+        ProbabilityDist(np.array(probs))

@@ -7,6 +7,7 @@ from wavewalk import (
     ChebyshevConvergenceError,
     LatticeSpec,
     SingleSite,
+    Snapshots,
     WaveFunction,
     ZGrid,
     bessel_free_state,
@@ -37,6 +38,12 @@ def _random_state(n, seed):
 
 
 # --- decompose ---------------------------------------------------------------
+
+
+def test_snapshots_reject_nan():
+    with pytest.raises(ValueError):
+        Snapshots(ZGrid(np.array([0.0])), np.array([[np.nan, 0]], complex), "eigen")
+
 
 
 def test_decompose_two_site():
