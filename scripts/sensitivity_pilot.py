@@ -29,7 +29,10 @@ exceeds 1, which is why the operative threshold comes from this pilot; and
 ~2.1), so the gate freezes one realization rather than asserting a uniform
 amplification.
 
-Re-running this script reproduces the committed JSON byte-for-byte.
+Re-running this script reproduces the frozen threshold exactly. The raw
+TVDs and ratios agree with the committed JSON to ~1e-13, not byte for byte:
+the eigendecomposition's last bits differ between numpy/scipy/LAPACK builds.
+Pass an output path as the first argument to compare without overwriting.
 """
 
 from __future__ import annotations

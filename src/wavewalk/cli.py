@@ -66,18 +66,6 @@ def _write_pgm(path: Path, rows: np.ndarray) -> None:
             fh.write(" ".join(str(v) for v in row) + "\n")
 
 
-def _observable_rows(intensities: np.ndarray):
-    nz = intensities.shape[0]
-    var = np.empty(nz)
-    pr = np.empty(nz)
-    nerr = np.empty(nz)
-    for i in range(nz):
-        var[i] = spread_variance(intensities[i])
-        pr[i] = participation_ratio(intensities[i])
-        nerr[i] = abs(float(np.sum(intensities[i])) - 1.0)
-    return var, pr, nerr
-
-
 def _evolve_intensities(cfg: ExperimentConfig, h, psi0, zgrid, decomp=None) -> np.ndarray:
     if cfg.propagator["method"] == "chebyshev":
         snap = evolve_chebyshev(h, psi0, zgrid, tol=cfg.propagator["tol"])
@@ -142,11 +130,10 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
     if stats is not None:
         # ensemble traces are means of per-realization observables, not
         # observables of the mean profile
-        var = stats.variance_trace
-        pr = stats.pr_trace
-        nerr = np.abs(np.sum(intensities, axis=1) - 1.0)
+        var, pr = stats.variance_trace, stats.pr_trace
     else:
-        var, pr, nerr = _observable_rows(intensities)
+        var, pr = spread_variance(intensities), participation_ratio(intensities)
+    nerr = np.abs(np.sum(intensities, axis=1) - 1.0)
 
     if "csv" in formats:
         _write_matrix_csv(

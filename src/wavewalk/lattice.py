@@ -6,7 +6,7 @@ equation
     i dpsi_j/dz = beta_j psi_j + C_{j,j+1} psi_{j+1} + C_{j,j-1} psi_{j-1}
 
 so the Hamiltonian is real symmetric tridiagonal (plus two corner entries
-on a ring). Everything here is immutable and safe to share across workers.
+on a ring). Everything here is immutable.
 """
 
 from __future__ import annotations
@@ -239,4 +239,4 @@ def apply_hamiltonian(h: Hamiltonian, psi) -> np.ndarray:
     x = psi.amps if isinstance(psi, WaveFunction) else np.asarray(psi, dtype=np.complex128)
     if x.shape != (h.n_sites,):
         raise ValueError(f"state length {x.shape} does not match lattice size {h.n_sites}")
-    return kernels.tridiag_matvec(h.diag, h.offdiag, h.corner, np.ascontiguousarray(x))
+    return kernels.tridiag_matvec(h.diag, h.offdiag, h.corner, x)

@@ -1,9 +1,5 @@
-"""Kernel-level checks: Bessel sequences against scipy, numba/numpy backend
-equivalence, and the env-flag backend switch."""
-
-import os
-import subprocess
-import sys
+"""Kernel-level checks: Bessel sequences against scipy, the tridiagonal
+matvec against a dense product, and block calls against row-by-row calls."""
 
 import numpy as np
 import pytest
@@ -44,7 +40,7 @@ def test_bessel_series_and_miller_agree_at_crossover():
     lo = kernels.bessel_j_sequence(0.9999999, 20)
     hi = kernels.bessel_j_sequence(1.0000001, 20)
     assert np.max(np.abs(lo - hi)) < 1e-6  # continuity across the switch
-    mid_series = kernels._bessel_j_sequence_impl(0.5, 10)
+    mid_series = kernels.bessel_j_sequence(0.5, 10)
     assert abs(mid_series[0] - jv(0, 0.5)) < 1e-14
 
 
@@ -58,7 +54,7 @@ def test_bessel_probability_identity(x):
     assert abs(total - 1.0) < 1e-10
 
 
-# --- backend equivalence -----------------------------------------------------
+# --- tridiagonal matvec and Chebyshev recurrence -----------------------------
 
 
 def _random_problem(n, seed):
@@ -71,18 +67,12 @@ def _random_problem(n, seed):
 
 
 @pytest.mark.parametrize("corner", [0.0, 0.7])
-def test_matvec_backends_agree(corner):
-    diag, off, x = _random_problem(64, 1)
-    a = kernels.tridiag_matvec_np(diag, off, corner, x)
-    b = kernels.tridiag_matvec_nb(diag, off, corner, x)
-    assert np.max(np.abs(a - b)) < 1e-14
-
-
-def test_matvec_against_dense():
+def test_matvec_against_dense(corner):
     diag, off, x = _random_problem(50, 2)
     dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    dense[0, -1] = dense[-1, 0] = corner
     expected = dense @ x
-    got = kernels.tridiag_matvec(diag, off, 0.0, x)
+    got = kernels.tridiag_matvec(diag, off, corner, x)
     assert np.max(np.abs(got - expected)) < 1e-13
 
 
@@ -95,44 +85,14 @@ def test_numpy_kernels_act_row_by_row_on_a_block(corner):
     off = r.uniform(0.5, 1.5, size=n - 1)
     x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
     coeffs = r.normal(size=12) + 1j * r.normal(size=12)
-    y = kernels.tridiag_matvec_np(diag, off, corner, x)
-    acc = kernels.chebyshev_apply_np(diag, off, corner, 0.3, 5.0, coeffs, x)
+    y = kernels.tridiag_matvec(diag, off, corner, x)
+    acc = kernels.chebyshev_apply(diag, off, corner, 0.3, 5.0, coeffs, x)
     for i in range(rows):
-        assert np.array_equal(y[i], kernels.tridiag_matvec_np(diag[i], off, corner, x[i]))
+        assert np.array_equal(y[i], kernels.tridiag_matvec(diag[i], off, corner, x[i]))
         assert np.array_equal(
-            acc[i], kernels.chebyshev_apply_np(diag[i], off, corner, 0.3, 5.0, coeffs, x[i])
+            acc[i], kernels.chebyshev_apply(diag[i], off, corner, 0.3, 5.0, coeffs, x[i])
         )
 
 
-def test_chebyshev_apply_backends_agree():
-    diag, off, x = _random_problem(80, 3)
-    # enclose the spectrum so T_k(H_scaled) stays bounded, as in real use
-    radius = np.zeros(80)
-    radius[:-1] += off
-    radius[1:] += off
-    emin, emax = np.min(diag - radius), np.max(diag + radius)
-    center, halfwidth = 0.5 * (emax + emin), 0.5 * (emax - emin)
-    coeffs = (rng(4).normal(size=30) + 1j * rng(5).normal(size=30)).astype(np.complex128)
-    a = kernels.chebyshev_apply_np(diag, off, 0.0, center, halfwidth, coeffs, x)
-    b = kernels.chebyshev_apply_nb(diag, off, 0.0, center, halfwidth, coeffs, x)
-    assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_rk4_backends_agree():
-    diag, off, x = _random_problem(40, 6)
-    a = kernels.rk4_evolve_np(diag, off, 0.0, x, 1.0, 200)
-    b = kernels.rk4_evolve_nb(diag, off, 0.0, x, 1.0, 200)
-    assert np.max(np.abs(a - b)) < 1e-12
-
-
-def test_env_flag_selects_numpy_backend():
-    env = dict(os.environ, WAVEWALK_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import wavewalk; print(wavewalk.backend())"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_active_backend_reported():
-    assert kernels.backend() in ("numba", "numpy")
+    assert kernels.backend() == "numpy"
