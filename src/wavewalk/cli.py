@@ -26,7 +26,7 @@ from .errors import NumericalFailure
 from .lattice import SingleSite, build_hamiltonian, make_initial_state
 from .observables import participation_ratio, spread_variance
 from .oracles import bessel_free_state, classical_ctrw_distribution, image_boundary_state
-from .propagators import decompose, evolve_chebyshev, evolve_eigen
+from .propagators import _times_real, decompose, evolve_chebyshev, evolve_eigen
 
 
 def _fmt(x: float) -> str:
@@ -66,14 +66,6 @@ def _write_pgm(path: Path, rows: np.ndarray) -> None:
             fh.write(" ".join(str(v) for v in row) + "\n")
 
 
-def _evolve_intensities(cfg: ExperimentConfig, h, psi0, zgrid, decomp=None) -> np.ndarray:
-    if cfg.propagator["method"] == "chebyshev":
-        snap = evolve_chebyshev(h, psi0, zgrid, tol=cfg.propagator["tol"])
-    else:
-        snap = evolve_eigen(h, psi0, zgrid, decomp=decomp)
-    return snap.intensities()
-
-
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path:
     """Execute the configured experiment and write its artifact files."""
     out = Path(output_dir if output_dir is not None else cfg.output["directory"])
@@ -88,8 +80,13 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
     stats = None
 
     if cfg.experiment == "ballistic":
+        h = build_hamiltonian(lattice)
         psi0 = make_initial_state(cfg.initial(), lattice.n_sites)
-        intensities = _evolve_intensities(cfg, build_hamiltonian(lattice), psi0, zgrid)
+        # keep no reference to the complex states, or they stay alive through the writers
+        if cfg.propagator["method"] == "chebyshev":
+            intensities = evolve_chebyshev(h, psi0, zgrid, tol=cfg.propagator["tol"]).intensities()
+        else:
+            intensities = evolve_eigen(h, psi0, zgrid).intensities()
     elif cfg.experiment == "disorder":
         stats = run_ensemble(
             lattice, cfg.disorder_spec(), cfg.initial(), zgrid,
@@ -112,18 +109,18 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
         for i, z in enumerate(zvals):
             intensities[i] = classical_ctrw_distribution(j0, gamma, z, lattice.n_sites).probs
     elif cfg.experiment == "boundary_sweep":
+        # one eigendecomposition serves the carpet and the z-resolved rows;
         # carpet: the swept rows of the evolution operator at the final z,
-        # U[lo:hi+1] = V[lo:hi+1] exp(-i Lambda z) V^T (U is symmetric), with
-        # real and imaginary parts as real products so no N x N complex array forms
+        # U[lo:hi+1] = V[lo:hi+1] exp(-i Lambda z) V^T (U is symmetric)
         h = build_hamiltonian(lattice)
         dec = decompose(h)
         v = dec.eigenvectors
         lo, hi = cfg.sweep["input_min"], cfg.sweep["input_max"]
-        rows = v[lo : hi + 1] * np.exp(-1j * dec.eigenvalues * zvals[-1])
-        carpet = (rows.real @ v.T) ** 2 + (rows.imag @ v.T) ** 2
+        amps = _times_real(v[lo : hi + 1] * np.exp(-1j * dec.eigenvalues * zvals[-1]), v.T)
+        carpet = amps.real ** 2 + amps.imag ** 2
         # the z-resolved files track the input closest to the wall
         psi0 = make_initial_state(SingleSite(lo), lattice.n_sites)
-        intensities = _evolve_intensities(cfg, h, psi0, zgrid, decomp=dec)
+        intensities = evolve_eigen(h, psi0, zgrid, decomp=dec).intensities()
     else:  # pragma: no cover - load_config guards the enum
         raise ConfigError(f"experiment: unknown experiment {cfg.experiment!r}")
 

@@ -1,10 +1,10 @@
 """Experiment configuration: strict JSON schema, defaults, key-path errors.
 
-Unknown keys are rejected (naming the full key path). Validation fills every
-default, so validating an already-resolved config is idempotent, and the
-run.json emitted by the runner (resolved config plus ``version``/``backend``
-metadata, which the loader accepts and drops) round-trips to the same
-resolved config.
+Unknown keys are rejected (naming the full key path), and so are keys the
+chosen experiment does not read (``READS``). Validation fills every default,
+so validating an already-resolved config is idempotent, and the run.json
+emitted by the runner (resolved config plus ``version``/``backend`` metadata,
+which the loader accepts and drops) round-trips to the same resolved config.
 """
 
 from __future__ import annotations
@@ -35,12 +35,17 @@ class ConfigError(ValueError):
 EXPERIMENTS = ("ballistic", "disorder", "boundary_sweep", "classical", "dephasing")
 FORMATS = ("csv", "json", "pgm")
 
-_TOP_KEYS = {
-    "experiment", "lattice", "initial_state", "zgrid", "propagator",
-    "disorder", "dephasing", "sweep", "classical",
-    "n_realizations", "master_seed", "output",
-    "version", "backend",  # runner metadata, accepted and dropped on re-validation
+# the optional top-level keys each experiment reads; any other is rejected
+READS = {
+    "ballistic": ("initial_state", "propagator"),
+    "disorder": ("initial_state", "propagator", "disorder", "n_realizations", "master_seed"),
+    "dephasing": ("initial_state", "dephasing", "n_realizations", "master_seed"),
+    "boundary_sweep": ("sweep",),
+    "classical": ("initial_state", "classical"),
 }
+_ALWAYS = ("experiment", "lattice", "zgrid", "output")
+_METADATA = ("version", "backend")  # written by the runner, dropped on re-validation
+_TOP_KEYS = {*_ALWAYS, *_METADATA, *(k for keys in READS.values() for k in keys)}
 
 
 def _err(path: str, msg: str):
@@ -184,7 +189,19 @@ def _resolve_propagator(raw: dict) -> dict:
     method = _as_str(raw.get("method", "eigen"), _join(path, "method"), ("eigen", "chebyshev"))
     tol = _as_float(raw.get("tol", 1e-12), _join(path, "tol"),
                     exclusive_minimum=0.0, maximum=1e-4)
+    if method == "eigen" and tol != 1e-12:
+        _err(_join(path, "tol"), "read only by method 'chebyshev'")
     return {"method": method, "tol": tol}
+
+
+def _resolve_common(raw: dict, n_sites: int) -> dict:
+    return {
+        "initial_state": _resolve_initial_state(
+            _as_dict(raw.get("initial_state", {}), "initial_state"), n_sites),
+        "propagator": _resolve_propagator(_as_dict(raw.get("propagator", {}), "propagator")),
+        "n_realizations": _as_int(raw.get("n_realizations", 1), "n_realizations", minimum=1),
+        "master_seed": _as_int(raw.get("master_seed", 0), "master_seed", minimum=0),
+    }
 
 
 def _resolve_disorder(raw: dict) -> dict:
@@ -251,7 +268,9 @@ def _resolve_output(raw: dict) -> dict:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description (plain JSON-able values)."""
+    """Fully resolved experiment description (plain JSON-able values).
+
+    Fields the experiment does not read (``READS``) hold their defaults."""
 
     experiment: str
     lattice: dict
@@ -308,20 +327,11 @@ class ExperimentConfig:
         return DephasingSpec(self.dephasing["segment_length"], self.dephasing["phase_strength"])
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "experiment": self.experiment,
-            "lattice": dict(self.lattice),
-            "initial_state": dict(self.initial_state),
-            "zgrid": dict(self.zgrid),
-            "propagator": dict(self.propagator),
-            "n_realizations": self.n_realizations,
-            "master_seed": self.master_seed,
-            "output": dict(self.output),
-        }
-        for name in ("disorder", "dephasing", "sweep", "classical"):
-            block = getattr(self, name)
-            if block is not None:
-                out[name] = dict(block)
+        """The keys this experiment reads, so run.json records what ran."""
+        out: dict[str, Any] = {}
+        for key in _ALWAYS + READS[self.experiment]:
+            value = getattr(self, key)
+            out[key] = dict(value) if isinstance(value, dict) else value
         return out
 
 
@@ -339,63 +349,45 @@ def load_config(raw: dict) -> ExperimentConfig:
     if "zgrid" not in raw:
         _err("zgrid", "missing required key")
     zgrid = _resolve_zgrid(_as_dict(raw["zgrid"], "zgrid"))
-    initial_state = _resolve_initial_state(
-        _as_dict(raw.get("initial_state", {}), "initial_state"), n_sites
-    )
-    propagator = _resolve_propagator(_as_dict(raw.get("propagator", {}), "propagator"))
-    n_realizations = _as_int(raw.get("n_realizations", 1), "n_realizations", minimum=1)
-    master_seed = _as_int(raw.get("master_seed", 0), "master_seed", minimum=0)
     output = _resolve_output(_as_dict(raw.get("output", {}), "output"))
+    # every experiment resolves these four; a key the experiment does not read
+    # is rejected, so a config never silently does nothing, except at its
+    # default: run.json files written before READS echoed all four
+    common = _resolve_common(raw, n_sites)
+    defaults = _resolve_common({}, n_sites)
+    for key in sorted(set(raw) - {*_ALWAYS, *_METADATA, *READS[experiment]}):
+        if key not in defaults or common[key] != defaults[key]:
+            _err(key, f"not read by experiment '{experiment}'")
 
-    if experiment == "classical" and initial_state["kind"] != "single_site":
-        _err("initial_state.kind", "classical experiment needs a single_site start")
+    if experiment == "classical":
+        if common["initial_state"]["kind"] != "single_site":
+            _err("initial_state.kind", "classical experiment needs a single_site start")
+        # the closed form sees only the window size and the hop rate
+        for key, default in (("beta", 0.0), ("boundary", "open"),
+                             ("diag_convention", "beta_as_given")):
+            if lattice[key] != default:
+                _err(_join("lattice", key), "not read by experiment 'classical'")
     if experiment == "boundary_sweep" and lattice["boundary"] != "open":
         _err("lattice.boundary", "boundary_sweep needs an open chain (a reflecting edge)")
 
-    # experiment-specific blocks: required where the experiment needs them,
-    # rejected where they would silently do nothing
-    for name, used_by in (
-        ("disorder", ("disorder",)),
-        ("dephasing", ("dephasing",)),
-        ("sweep", ("boundary_sweep",)),
-        ("classical", ("classical",)),
-    ):
-        if name in raw and experiment not in used_by:
-            _err(name, f"block not used by experiment '{experiment}'")
-
-    disorder = dephasing = sweep = classical = None
+    block = {}  # the experiment's own block, if it has one
     if experiment == "disorder":
         if "disorder" not in raw:
             _err("disorder", "missing block required by the disorder experiment")
-        disorder = _resolve_disorder(_as_dict(raw["disorder"], "disorder"))
+        block["disorder"] = _resolve_disorder(_as_dict(raw["disorder"], "disorder"))
     elif experiment == "dephasing":
         if "dephasing" not in raw:
             _err("dephasing", "missing block required by the dephasing experiment")
-        dephasing = _resolve_dephasing(_as_dict(raw["dephasing"], "dephasing"), zgrid["stop"])
+        block["dephasing"] = _resolve_dephasing(_as_dict(raw["dephasing"], "dephasing"),
+                                                zgrid["stop"])
     elif experiment == "boundary_sweep":
-        sweep = _resolve_sweep(_as_dict(raw.get("sweep", {}), "sweep"), n_sites)
+        block["sweep"] = _resolve_sweep(_as_dict(raw.get("sweep", {}), "sweep"), n_sites)
     elif experiment == "classical":
-        coupling = lattice["coupling"]
-        default_gamma = (
-            float(coupling) if np.isscalar(coupling) else float(np.mean(coupling))
-        )
-        classical = _resolve_classical(_as_dict(raw.get("classical", {}), "classical"),
-                                       default_gamma)
+        block["classical"] = _resolve_classical(_as_dict(raw.get("classical", {}), "classical"),
+                                                float(np.mean(lattice["coupling"])))
 
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        lattice=lattice,
-        initial_state=initial_state,
-        zgrid=zgrid,
-        propagator=propagator,
-        n_realizations=n_realizations,
-        master_seed=master_seed,
-        output=output,
-        disorder=disorder,
-        dephasing=dephasing,
-        sweep=sweep,
-        classical=classical,
-    )
+    cfg = ExperimentConfig(experiment=experiment, lattice=lattice, zgrid=zgrid,
+                           output=output, **common, **block)
     # constructing the domain objects catches any remaining cross-field issue early
     try:
         cfg.lattice_spec()

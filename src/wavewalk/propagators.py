@@ -88,6 +88,15 @@ def decompose(h: Hamiltonian) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues=w, eigenvectors=v)
 
 
+def _times_real(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex ``a @ b`` for real ``b`` as two real products, so that numpy
+    does not first copy ``b`` to complex."""
+    out = np.empty(a.shape[:-1] + b.shape[1:], dtype=np.complex128)
+    out.real = a.real @ b
+    out.imag = a.imag @ b
+    return out
+
+
 def evolve_eigen(
     h: Hamiltonian,
     psi0: WaveFunction,
@@ -100,9 +109,9 @@ def evolve_eigen(
     if decomp is None:
         decomp = decompose(h)
     v = decomp.eigenvectors
-    coeffs = v.T @ psi0.amps
+    coeffs = _times_real(psi0.amps, v)  # = V^T psi0
     phases = np.exp(-1j * np.outer(zgrid.values, decomp.eigenvalues))
-    states = (phases * coeffs) @ v.T
+    states = _times_real(phases * coeffs, v.T)
     return Snapshots(zgrid=zgrid, amps=states, method="eigen")
 
 

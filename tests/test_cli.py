@@ -46,13 +46,53 @@ def test_simulate_ballistic_matches_oracle(tmp_path):
     assert np.all(np.diff(obs[:, 1]) > 0)  # variance grows monotonically here
 
 
-def test_run_json_round_trips(tmp_path):
+SMALL = {"lattice": {"n_sites": 41}, "zgrid": {"stop": 2.0, "steps": 3}}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        BALLISTIC,
+        {**BALLISTIC, "initial_state": {"kind": "two_site", "sites": [40, 60],
+                                        "relative_phase": 0.5}},
+        {**BALLISTIC, "initial_state": {"kind": "gaussian", "center": 50.5, "width": 2.0,
+                                        "tilt": 0.3}},
+        {**SMALL, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
+         "n_realizations": 5, "master_seed": 7},
+        {**SMALL, "experiment": "dephasing",
+         "dephasing": {"segment_length": 0.5, "phase_strength": 1.0}, "n_realizations": 3},
+        {**SMALL, "experiment": "boundary_sweep", "sweep": {"input_min": 0, "input_max": 5}},
+        {**SMALL, "experiment": "classical"},
+    ],
+    ids=["ballistic", "two_site", "gaussian", "disorder", "dephasing", "boundary_sweep",
+         "classical"],
+)
+def test_run_json_round_trips(tmp_path, payload):
     out = tmp_path / "out"
-    cfg = _write_cfg(tmp_path, "b.json", {**BALLISTIC, "output": {"directory": str(out)}})
-    main(["simulate", str(cfg)])
+    cfg = _write_cfg(tmp_path, "b.json", {**payload, "output": {"directory": str(out)}})
+    assert main(["simulate", str(cfg)]) == 0
     resolved = validate_config(cfg).to_dict()
     again = validate_config(out / "run.json").to_dict()
     assert again == resolved
+
+
+@pytest.mark.parametrize(
+    "payload,key",
+    [
+        ({**SMALL, "experiment": "dephasing",
+          "dephasing": {"segment_length": 0.5, "phase_strength": 1.0},
+          "propagator": {"method": "chebyshev", "tol": 1e-4}}, "propagator"),
+        ({**SMALL, "experiment": "boundary_sweep", "lattice": {"n_sites": 60},
+          "initial_state": {"kind": "gaussian", "center": 30, "width": 2}}, "initial_state"),
+        ({**SMALL, "experiment": "classical", "master_seed": 3}, "master_seed"),
+        ({**SMALL, "experiment": "ballistic", "n_realizations": 1000}, "n_realizations"),
+    ],
+    ids=["dephasing", "boundary_sweep", "classical", "ballistic"],
+)
+def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
+    cfg = _write_cfg(tmp_path, "u.json", {**payload, "output": {"directory": str(tmp_path)}})
+    assert main(["simulate", str(cfg)]) == 2
+    assert f"config error: {key}: not read by experiment" in capsys.readouterr().err
 
 
 def test_byte_identical_reruns(tmp_path):

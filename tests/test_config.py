@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from wavewalk import ConfigError, load_config, validate_config
+from wavewalk.config import READS
 
 
 MINIMAL_BALLISTIC = {
@@ -25,35 +26,64 @@ def test_minimal_ballistic_defaults():
     assert cfg.n_realizations == 1 and cfg.master_seed == 0
 
 
+# one config per experiment
+EXAMPLES = (
+    MINIMAL_BALLISTIC,
+    {
+        "experiment": "disorder",
+        "lattice": {"n_sites": 99},
+        "zgrid": {"stop": 30.0, "steps": 4},
+        "disorder": {"offdiag_strength": 0.5},
+        "n_realizations": 10,
+    },
+    {
+        "experiment": "boundary_sweep",
+        "lattice": {"n_sites": 400},
+        "zgrid": {"stop": 8.0},
+    },
+    {
+        "experiment": "classical",
+        "lattice": {"n_sites": 201, "coupling": 2.0},
+        "zgrid": {"stop": 10.0},
+    },
+    {
+        "experiment": "dephasing",
+        "lattice": {"n_sites": 101},
+        "zgrid": {"stop": 20.0},
+        "dephasing": {"segment_length": 0.25, "phase_strength": 12.0},
+    },
+)
+
+
 def test_resolution_is_idempotent():
-    for raw in (
-        MINIMAL_BALLISTIC,
-        {
-            "experiment": "disorder",
-            "lattice": {"n_sites": 99},
-            "zgrid": {"stop": 30.0, "steps": 4},
-            "disorder": {"offdiag_strength": 0.5},
-            "n_realizations": 10,
-        },
-        {
-            "experiment": "boundary_sweep",
-            "lattice": {"n_sites": 400},
-            "zgrid": {"stop": 8.0},
-        },
-        {
-            "experiment": "classical",
-            "lattice": {"n_sites": 201, "coupling": 2.0},
-            "zgrid": {"stop": 10.0},
-        },
-        {
-            "experiment": "dephasing",
-            "lattice": {"n_sites": 101},
-            "zgrid": {"stop": 20.0},
-            "dephasing": {"segment_length": 0.25, "phase_strength": 12.0},
-        },
-    ):
+    for raw in EXAMPLES:
         resolved = load_config(raw).to_dict()
         assert load_config(resolved).to_dict() == resolved
+
+
+@pytest.mark.parametrize("raw", EXAMPLES, ids=lambda raw: raw["experiment"])
+def test_to_dict_holds_the_keys_the_experiment_reads(raw):
+    resolved = load_config(raw).to_dict()
+    assert set(resolved) == {"experiment", "lattice", "zgrid", "output",
+                             *READS[raw["experiment"]]}
+
+
+@pytest.mark.parametrize("raw", EXAMPLES, ids=lambda raw: raw["experiment"])
+def test_run_json_written_before_the_key_table_still_loads(raw):
+    # such files echoed initial_state, propagator, n_realizations and
+    # master_seed for every experiment, at their defaults where unread
+    cfg = load_config(raw)
+    old = {
+        "experiment": cfg.experiment, "lattice": cfg.lattice,
+        "initial_state": cfg.initial_state, "zgrid": cfg.zgrid,
+        "propagator": cfg.propagator, "n_realizations": cfg.n_realizations,
+        "master_seed": cfg.master_seed, "output": cfg.output,
+        "version": "0.1.0", "backend": "numpy",
+    }
+    for name in ("disorder", "dephasing", "sweep", "classical"):
+        if getattr(cfg, name) is not None:
+            old[name] = getattr(cfg, name)
+    assert load_config(old).to_dict() == cfg.to_dict()
 
 
 def test_classical_gamma_defaults_to_mean_coupling():
@@ -143,6 +173,24 @@ def test_unknown_keys_rejected_with_path(mutate, needle):
          "dephasing": {"segment_length": 0.3, "phase_strength": 1.0}},
         {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
          "n_realizations": True},
+        # keys the experiment does not read, at values other than the default
+        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+         "dephasing": {"segment_length": 0.5, "phase_strength": 1.0},
+         "propagator": {"method": "chebyshev", "tol": 1e-4}},
+        {"experiment": "boundary_sweep", "lattice": {"n_sites": 60}, "zgrid": {"stop": 1.0},
+         "initial_state": {"kind": "gaussian", "center": 30, "width": 2}},
+        {"experiment": "classical", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+         "master_seed": 3},
+        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+         "n_realizations": 1000},
+        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+         "propagator": {"method": "eigen", "tol": 1e-6}},
+        {"experiment": "classical", "lattice": {"n_sites": 9, "beta": 0.5},
+         "zgrid": {"stop": 1.0}},
+        {"experiment": "classical", "lattice": {"n_sites": 9, "diag_convention":
+         "minus_degree_gamma"}, "zgrid": {"stop": 1.0}},
+        {"experiment": "classical", "lattice": {"n_sites": 9, "boundary": "periodic"},
+         "zgrid": {"stop": 1.0}},
     ],
 )
 def test_invalid_configs_rejected(raw):

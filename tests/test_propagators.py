@@ -111,6 +111,21 @@ def test_eigen_matches_bessel_oracle():
     assert np.max(np.abs(snap.amps[0] - ref.amps)) < 1e-8
 
 
+def test_eigen_real_products_match_complex_products():
+    # evolve_eigen forms V^T psi0 and (phases * coeffs) V^T as pairs of real
+    # products; the complex products they replace are the reference, equal up
+    # to summation order (40 terms of magnitude <= 1)
+    n = 40
+    h = build_hamiltonian(_random_spec(n, 3))
+    psi0 = _random_state(n, 4)
+    grid = ZGrid(np.linspace(0.0, 6.0, 7))
+    dec = decompose(h)
+    v = dec.eigenvectors.astype(np.complex128)
+    ref = (np.exp(-1j * np.outer(grid.values, dec.eigenvalues)) * (v.T @ psi0.amps)) @ v.T
+    snap = evolve_eigen(h, psi0, grid, decomp=dec)
+    assert np.max(np.abs(snap.amps - ref)) < 1e-13
+
+
 def test_eigen_dimension_mismatch():
     h = build_hamiltonian(uniform_lattice(5))
     with pytest.raises(ValueError):
