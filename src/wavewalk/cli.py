@@ -41,7 +41,17 @@ def _write_matrix_csv(path: Path, first_header: str, first_col, rows: np.ndarray
             fh.write(f"# {comment}\n")
         fh.write(first_header + "," + ",".join(f"site_{j}" for j in range(n)) + "\n")
         for label, row in zip(first_col, rows):
-            fh.write(_fmt(label) + "," + ",".join(_fmt(v) for v in row) + "\n")
+            # only the span between the first and last nonzero entry is formatted;
+            # the zeros around it are written as the "0" that _fmt gives them
+            # (signbit keeps -0.0 in the span, so it still prints as -0)
+            nonzero = np.flatnonzero((row != 0.0) | np.signbit(row))
+            if nonzero.size == 0:
+                body = "0" + ",0" * (n - 1)
+            else:
+                lo, hi = nonzero[0], nonzero[-1] + 1
+                span = ",".join(map("{:.17g}".format, row[lo:hi].tolist()))
+                body = "0," * lo + span + ",0" * (n - hi)
+            fh.write(_fmt(label) + "," + body + "\n")
 
 
 def _write_observables_csv(path: Path, zvals, var, pr, norm_err) -> None:

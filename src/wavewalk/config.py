@@ -10,12 +10,13 @@ which the loader accepts and drops) round-trips to the same resolved config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .ensembles import DephasingSpec, DisorderSpec
+from .ensembles import ROW_SUM_TOL, DephasingSpec, DisorderSpec
 from .lattice import (
     Boundary,
     DiagConvention,
@@ -25,7 +26,7 @@ from .lattice import (
     SingleSite,
     TwoSite,
 )
-from .propagators import ZGrid
+from .propagators import ZGrid, chebyshev_norm_tol
 
 
 class ConfigError(ValueError):
@@ -166,6 +167,15 @@ def _resolve_initial_state(raw: dict, n_sites: int) -> dict:
     center = _as_float(raw.get("center", n_sites / 2.0), _join(path, "center"),
                        minimum=0.0, maximum=float(n_sites - 1))
     width = _as_float(raw.get("width", 3.0), _join(path, "width"), exclusive_minimum=0.0)
+    # the launch is normalized by its sum of squares, which the site nearest the
+    # centre dominates: if that site's envelope squared underflows, so does the sum
+    offset = center - round(center)
+    two_w2 = 2.0 * width * width
+    peak = math.exp(-offset * offset / two_w2) if two_w2 > 0.0 else 0.0
+    if not peak * peak >= np.finfo(np.float64).tiny:
+        _err(_join(path, "width"),
+             f"{width!r} is too narrow: the envelope underflows at the site nearest "
+             f"center={center!r}")
     tilt = _as_float(raw.get("tilt", 0.0), _join(path, "tilt"))
     return {"kind": kind, "center": center, "width": width, "tilt": tilt}
 
@@ -367,6 +377,14 @@ def load_config(raw: dict) -> ExperimentConfig:
                              ("diag_convention", "beta_as_given")):
             if lattice[key] != default:
                 _err(_join("lattice", key), "not read by experiment 'classical'")
+    prop = common["propagator"]
+    if experiment == "disorder" and prop["method"] == "chebyshev":
+        # each realization is held to its norm tolerance, the mean rows to ROW_SUM_TOL
+        drift = chebyshev_norm_tol(prop["tol"])
+        if drift > ROW_SUM_TOL:
+            _err("propagator.tol",
+                 f"{prop['tol']!r} admits a norm drift of {drift:g} per realization, "
+                 f"more than the ensemble's row-sum check of {ROW_SUM_TOL:g}")
     if experiment == "boundary_sweep" and lattice["boundary"] != "open":
         _err("lattice.boundary", "boundary_sweep needs an open chain (a reflecting edge)")
 

@@ -38,6 +38,7 @@ from .propagators import (
 
 _BLOCK = 64  # realizations per reduction block; fixed so results never depend on it
 _DEPHASING_TOL = 1e-12  # Chebyshev coefficient tail per segment, as evolve_chebyshev
+ROW_SUM_TOL = 1e-8  # how far a mean intensity row may sum from 1
 
 
 def worker_count() -> int:
@@ -108,8 +109,8 @@ class EnsembleStats:
             object.__setattr__(self, name, arr)
         row_sums = np.sum(self.mean_intensity, axis=1)
         worst = float(np.max(np.abs(row_sums - 1.0)))
-        if not worst <= 1e-8:  # written so that NaN fails
-            raise ValueError(f"mean intensity rows sum off by {worst:.3e} (> 1e-8)")
+        if not worst <= ROW_SUM_TOL:  # written so that NaN fails
+            raise ValueError(f"mean intensity rows sum off by {worst:.3e} (> {ROW_SUM_TOL:g})")
         if not np.all(self.sem_intensity >= 0.0):
             raise ValueError("SEM must be nonnegative")
 

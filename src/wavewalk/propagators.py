@@ -127,11 +127,22 @@ def spectral_bounds(h: Hamiltonian) -> tuple[float, float]:
     return float(np.min(h.diag - radius)), float(np.max(h.diag + radius))
 
 
+# ceiling on the order cap, checked before the Bessel sequence is allocated;
+# an expansion that long would already cost a million matvecs per z point
+_MAX_ORDER = 1_000_000
+
+
 def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
     """Coefficients c_k = (2 - delta_{k0}) (-i)^k J_k(x), truncated when the
     Bessel tail stays below tol for three consecutive orders."""
+    if not np.isfinite(x):
+        raise ChebyshevConvergenceError(f"expansion argument halfwidth*z={x:g} is not finite")
     # J_m(x) decays superexponentially once m > x; the cap flags bad bounds
     cap = int(x + 12.0 * (x + 1.0) ** (1.0 / 3.0)) + 64
+    if cap > _MAX_ORDER:
+        raise ChebyshevConvergenceError(
+            f"halfwidth*z={x:g} needs an order cap above the ceiling of {_MAX_ORDER} terms"
+        )
     bess = kernels.bessel_j_sequence(x, cap + 2)
     small = np.abs(bess) < tol
     order = None
@@ -149,34 +160,54 @@ def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
     return coeffs
 
 
+def chebyshev_norm_tol(tol: float) -> float:
+    """Norm drift that a Chebyshev run with coefficient tail ``tol`` admits."""
+    return max(1e-9, 10.0 * tol)
+
+
 def evolve_chebyshev(
     h: Hamiltonian,
     psi0: WaveFunction,
     zgrid: ZGrid,
     tol: float = 1e-12,
 ) -> Snapshots:
-    """Chebyshev expansion of exp(-iHz) psi0 with certified coefficient tail < tol."""
+    """Chebyshev expansion of exp(-iHz) psi0 with certified coefficient tail < tol.
+
+    A degree-K polynomial in the tridiagonal H moves amplitude at most K
+    sites, so every site farther than K from the launch support stays exactly
+    0. The recurrence runs only on that light-cone window, with the whole
+    lattice's spectral scaling and coefficients: the same arithmetic as on
+    the whole lattice. The window is clipped at open-chain ends; on a ring,
+    a window that would wrap is the whole ring."""
     if not 0.0 < tol <= 1e-4:
         raise ValueError("tol must lie in (0, 1e-4]")
     if psi0.n_sites != h.n_sites:
         raise ValueError("state size does not match Hamiltonian")
+    n = h.n_sites
     emin, emax = spectral_bounds(h)
     center = 0.5 * (emax + emin)
     halfwidth = 0.5 * (emax - emin)
     if halfwidth <= 0.0:
         halfwidth = 1.0  # H is a multiple of the identity; any scaling works
-    states = np.empty((len(zgrid), h.n_sites), dtype=np.complex128)
+    support = np.flatnonzero(psi0.amps)
+    a, b = int(support[0]), int(support[-1])
+    states = np.zeros((len(zgrid), n), dtype=np.complex128)
     for i, z in enumerate(zgrid.values):
         if z == 0.0:
             states[i] = psi0.amps
             continue
         coeffs = _chebyshev_coefficients(halfwidth * z, tol)
+        k = coeffs.shape[0] - 1
+        lo, hi, corner = max(0, a - k), min(n, b + k + 1), 0.0
+        if h.corner != 0.0 and (a - k < 0 or b + k + 1 > n):  # the window wraps the ring
+            lo, hi, corner = 0, n, h.corner
         acc = kernels.chebyshev_apply(
-            h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps
+            h.diag[lo:hi], h.offdiag[lo : hi - 1], corner, center, halfwidth, coeffs,
+            psi0.amps[lo:hi],
         )
-        states[i] = np.exp(-1j * center * z) * acc
+        states[i, lo:hi] = np.exp(-1j * center * z) * acc
     return Snapshots(
-        zgrid=zgrid, amps=states, method="chebyshev", norm_tol=max(1e-9, 10.0 * tol)
+        zgrid=zgrid, amps=states, method="chebyshev", norm_tol=chebyshev_norm_tol(tol)
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import wavewalk
 from wavewalk import bessel_free_state, image_boundary_state, validate_config
-from wavewalk.cli import main
+from wavewalk.cli import _fmt, _write_matrix_csv, main
 
 
 def _read_csv(path):
@@ -93,6 +93,61 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
     cfg = _write_cfg(tmp_path, "u.json", {**payload, "output": {"directory": str(tmp_path)}})
     assert main(["simulate", str(cfg)]) == 2
     assert f"config error: {key}: not read by experiment" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload,code,key",
+    [
+        ({**SMALL, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
+          "n_realizations": 4, "propagator": {"method": "chebyshev", "tol": 1e-4}},
+         2, "config error: propagator.tol"),
+        ({**SMALL, "experiment": "ballistic",
+          "initial_state": {"kind": "gaussian", "center": 10, "width": 1e-300}},
+         2, "config error: initial_state.width"),
+        ({**SMALL, "experiment": "ballistic",
+          "initial_state": {"kind": "gaussian", "center": 10.5, "width": 0.01}},
+         2, "config error: initial_state.width"),
+        ({**SMALL, "experiment": "dephasing", "n_realizations": 2,
+          "dephasing": {"segment_length": 0.5, "phase_strength": 1e300}},
+         3, "numerical failure: halfwidth*z"),
+        ({**SMALL, "experiment": "ballistic", "zgrid": {"stop": 1e300, "steps": 2},
+          "propagator": {"method": "chebyshev"}},
+         3, "numerical failure: halfwidth*z"),
+    ],
+    ids=["disorder_tol", "gaussian_width", "gaussian_off_site", "dephasing_strength",
+         "ballistic_z"],
+)
+def test_unrunnable_config_exits_with_a_message(tmp_path, capsys, payload, code, key):
+    cfg = _write_cfg(tmp_path, "f.json", {**payload, "output": {"directory": str(tmp_path)}})
+    assert main(["simulate", str(cfg)]) == code
+    assert key in capsys.readouterr().err
+
+
+def _write_matrix_csv_per_value(path, first_header, first_col, rows, comment=None):
+    """Every value through _fmt, the way the writer ran before it skipped zeros."""
+    n = rows.shape[1]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.write(first_header + "," + ",".join(f"site_{j}" for j in range(n)) + "\n")
+        for label, row in zip(first_col, rows):
+            fh.write(_fmt(label) + "," + ",".join(_fmt(v) for v in row) + "\n")
+
+
+def test_matrix_csv_bytes_equal_per_value_formatting(tmp_path):
+    rows = np.array([
+        [0.0, -0.0, 5e-324, 1e22, 0.1, 0.0, 0.0],
+        [0.0] * 7,
+        [0.25, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.75],
+        [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.0],
+        np.random.default_rng(3).uniform(-1.0, 1.0, 7),
+    ])
+    labels = np.linspace(0.0, 0.6, rows.shape[0])
+    _write_matrix_csv(tmp_path / "fast.csv", "z", labels, rows, comment="c")
+    _write_matrix_csv_per_value(tmp_path / "ref.csv", "z", labels, rows, comment="c")
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_byte_identical_reruns(tmp_path):

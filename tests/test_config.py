@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from wavewalk import ConfigError, load_config, validate_config
+from wavewalk import ConfigError, load_config, make_initial_state, validate_config
 from wavewalk.config import READS
 
 
@@ -196,6 +196,35 @@ def test_unknown_keys_rejected_with_path(mutate, needle):
 def test_invalid_configs_rejected(raw):
     with pytest.raises(ConfigError):
         load_config(raw)
+
+
+def test_disorder_chebyshev_tol_must_fit_the_row_sum_check():
+    raw = {"experiment": "disorder", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+           "disorder": {"offdiag_strength": 0.5}}
+    load_config({**raw, "propagator": {"method": "chebyshev", "tol": 1e-9}})
+    with pytest.raises(ConfigError, match="propagator.tol"):
+        load_config({**raw, "propagator": {"method": "chebyshev", "tol": 2e-9}})
+    # a single run is held only to its own norm tolerance
+    load_config({**MINIMAL_BALLISTIC, "propagator": {"method": "chebyshev", "tol": 1e-4}})
+
+
+@pytest.mark.parametrize("center,width,ok", [
+    (50, 1e-300, False),  # width**2 underflows: 0/0 at the centre
+    (50.5, 0.01, False),  # every site underflows
+    (50.5, 0.019, True),  # envelope 6e-151 at the two nearest sites, squares normal
+    (50.5, 0.0185, False),  # envelope 3e-159 there, squares subnormal
+    (50, 0.01, True),  # a single lit site
+])
+def test_gaussian_width_must_leave_a_normalizable_launch(center, width, ok):
+    raw = {**MINIMAL_BALLISTIC,
+           "initial_state": {"kind": "gaussian", "center": center, "width": width}}
+    if not ok:
+        with pytest.raises(ConfigError, match="initial_state.width"):
+            load_config(raw)
+        return
+    cfg = load_config(raw)
+    psi0 = make_initial_state(cfg.initial(), cfg.lattice["n_sites"])
+    assert abs(np.sum(np.abs(psi0.amps) ** 2) - 1.0) <= 1e-12
 
 
 def test_vector_coupling_and_beta_accepted():

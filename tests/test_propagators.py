@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from wavewalk import (
+    Boundary,
     ChebyshevConvergenceError,
+    GaussianBeam,
     LatticeSpec,
     SingleSite,
+    TwoSite,
     Snapshots,
     WaveFunction,
     ZGrid,
@@ -20,6 +23,8 @@ from wavewalk import (
     spectral_bounds,
     uniform_lattice,
 )
+from wavewalk import kernels
+from wavewalk.propagators import _chebyshev_coefficients
 
 
 def _random_spec(n, seed, diag_w=1.0):
@@ -199,6 +204,71 @@ def test_chebyshev_order_cap_signals():
     psi0 = make_initial_state(SingleSite(15), 31)
     with pytest.raises(ChebyshevConvergenceError):
         evolve_chebyshev(h, psi0, ZGrid(np.array([10.0])), tol=1e-300)
+
+
+def test_chebyshev_order_ceiling_raises_before_allocating(monkeypatch):
+    def no_bessel(x, nmax):
+        raise AssertionError(f"bessel_j_sequence({x}, {nmax}) called")
+
+    monkeypatch.setattr(kernels, "bessel_j_sequence", no_bessel)
+    for x in (np.inf, np.nan, 1e7, 2.5e299):
+        with pytest.raises(ChebyshevConvergenceError):
+            _chebyshev_coefficients(x, 1e-12)
+
+
+_WINDOW_N = 201
+_WINDOW_LAUNCHES = {
+    "site_0": SingleSite(0),
+    "centre": SingleSite(_WINDOW_N // 2),
+    "site_last": SingleSite(_WINDOW_N - 1),
+    "two_site": TwoSite(90, 93, 0.7),
+    "gaussian": GaussianBeam(100.3, 1.2, 0.4),  # underflows to 0 about 46 sites out
+}
+
+
+def _window_lattice(boundary, disordered):
+    n = _WINDOW_N
+    n_bonds = n if boundary is Boundary.PERIODIC else n - 1
+    if not disordered:
+        return uniform_lattice(n, boundary=boundary)
+    r = np.random.default_rng(5)
+    return LatticeSpec(n_sites=n, coupling=r.uniform(0.5, 1.5, n_bonds),
+                       beta=r.uniform(-1.0, 1.0, n), boundary=boundary)
+
+
+def _full_lattice_chebyshev(h, psi0, zgrid, tol):
+    """The recurrence on every site, the way evolve_chebyshev ran it before
+    it was windowed."""
+    emin, emax = spectral_bounds(h)
+    center, halfwidth = 0.5 * (emax + emin), 0.5 * (emax - emin)
+    states = np.empty((len(zgrid), h.n_sites), dtype=np.complex128)
+    for i, z in enumerate(zgrid.values):
+        if z == 0.0:
+            states[i] = psi0.amps
+            continue
+        coeffs = _chebyshev_coefficients(halfwidth * z, tol)
+        acc = kernels.chebyshev_apply(
+            h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps
+        )
+        states[i] = np.exp(-1j * center * z) * acc
+    return np.abs(states) ** 2
+
+
+@pytest.mark.parametrize("disordered", [False, True], ids=["uniform", "random"])
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC],
+                         ids=["open", "ring"])
+@pytest.mark.parametrize("launch", list(_WINDOW_LAUNCHES), ids=list(_WINDOW_LAUNCHES))
+def test_chebyshev_light_cone_window_is_exact(launch, boundary, disordered):
+    # small z keeps the window inside the lattice, the largest makes it reach
+    # both ends (clipped on the open chain, wrapping on the ring)
+    h = build_hamiltonian(_window_lattice(boundary, disordered))
+    psi0 = make_initial_state(_WINDOW_LAUNCHES[launch], _WINDOW_N)
+    zgrid = ZGrid(np.array([0.0, 0.5, 3.0, 12.0, 80.0]))
+    got = evolve_chebyshev(h, psi0, zgrid, tol=1e-12).intensities()
+    ref = _full_lattice_chebyshev(h, psi0, zgrid, 1e-12)
+    assert np.array_equal(got, ref)
+    assert np.count_nonzero(got[1]) < _WINDOW_N  # z = 0.5 did leave sites dark
+    assert np.count_nonzero(got[-1]) == _WINDOW_N
 
 
 # --- RK4 oracle --------------------------------------------------------------
