@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, kernels
 from .config import ConfigError, ExperimentConfig, validate_config
-from .ensembles import evolve_dephasing, run_ensemble
+from .ensembles import ROW_SUM_TOL, DephasingSpec, DisorderSpec, evolve_dephasing, run_ensemble
 from .errors import NumericalFailure
 from .lattice import SingleSite, build_hamiltonian, make_initial_state
 from .observables import participation_ratio, spread_variance
@@ -85,8 +85,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
     zgrid = cfg.zgrid_obj()
     zvals = zgrid.values
     carpet = None
-    row_sum_tol = "1e-08"
-
     stats = None
 
     if cfg.experiment == "ballistic":
@@ -99,19 +97,17 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
             intensities = evolve_eigen(h, psi0, zgrid).intensities()
     elif cfg.experiment == "disorder":
         stats = run_ensemble(
-            lattice, cfg.disorder_spec(), cfg.initial(), zgrid,
+            lattice, DisorderSpec(**cfg.disorder), cfg.initial(), zgrid,
             cfg.n_realizations, cfg.master_seed,
             method=cfg.propagator["method"], tol=cfg.propagator["tol"],
         )
         intensities = stats.mean_intensity
-        row_sum_tol = "1e-06"
     elif cfg.experiment == "dephasing":
         stats = evolve_dephasing(
-            lattice, cfg.dephasing_spec(), cfg.initial(), zgrid,
+            lattice, DephasingSpec(**cfg.dephasing), cfg.initial(), zgrid,
             cfg.n_realizations, cfg.master_seed,
         )
         intensities = stats.mean_intensity
-        row_sum_tol = "1e-06"
     elif cfg.experiment == "classical":
         j0 = cfg.initial_state["site"]
         gamma = cfg.classical["gamma"]
@@ -145,7 +141,7 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
     if "csv" in formats:
         _write_matrix_csv(
             out / "intensity.csv", "z", zvals, intensities,
-            comment=f"row probability sum tolerance: {row_sum_tol}",
+            comment=f"row probability sum tolerance: {ROW_SUM_TOL:g}",
         )
         _write_observables_csv(out / "observables.csv", zvals, var, pr, nerr)
         if carpet is not None:

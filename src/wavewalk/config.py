@@ -10,13 +10,12 @@ which the loader accepts and drops) round-trips to the same resolved config.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
-from .ensembles import ROW_SUM_TOL, DephasingSpec, DisorderSpec
+from .ensembles import ROW_SUM_TOL, _n_segments
 from .lattice import (
     Boundary,
     DiagConvention,
@@ -25,8 +24,9 @@ from .lattice import (
     LatticeSpec,
     SingleSite,
     TwoSite,
+    _gaussian_envelope,
 )
-from .propagators import ZGrid, chebyshev_norm_tol
+from .propagators import _CHEBYSHEV_TOL, _MAX_CHEBYSHEV_TOL, ZGrid, chebyshev_norm_tol
 
 
 class ConfigError(ValueError):
@@ -169,14 +169,15 @@ def _resolve_initial_state(raw: dict, n_sites: int) -> dict:
     width = _as_float(raw.get("width", 3.0), _join(path, "width"), exclusive_minimum=0.0)
     # the launch is normalized by its sum of squares, which the site nearest the
     # centre dominates: if that site's envelope squared underflows, so does the sum
-    offset = center - round(center)
-    two_w2 = 2.0 * width * width
-    peak = math.exp(-offset * offset / two_w2) if two_w2 > 0.0 else 0.0
+    peak = _gaussian_envelope(center - round(center), width)
     if not peak * peak >= np.finfo(np.float64).tiny:
         _err(_join(path, "width"),
              f"{width!r} is too narrow: the envelope underflows at the site nearest "
              f"center={center!r}")
     tilt = _as_float(raw.get("tilt", 0.0), _join(path, "tilt"))
+    if not np.isfinite(tilt * (n_sites - 1)):
+        _err(_join(path, "tilt"),
+             f"{tilt!r} overflows: the phase tilt*j at the last site is not finite")
     return {"kind": kind, "center": center, "width": width, "tilt": tilt}
 
 
@@ -190,16 +191,29 @@ def _resolve_zgrid(raw: dict) -> dict:
     if stop <= start:
         _err(_join(path, "stop"), f"must exceed start={start}")
     steps = _as_int(raw.get("steps", 101), _join(path, "steps"), minimum=1)
-    return {"start": start, "stop": stop, "steps": steps}
+    grid = {"start": start, "stop": stop, "steps": steps}
+    try:
+        _zgrid(grid)
+    except ValueError:
+        _err(_join(path, "steps"),
+             f"{steps} steps from start={start!r} to stop={stop!r} do not give strictly "
+             f"increasing z values")
+    return grid
+
+
+def _zgrid(g: dict) -> ZGrid:
+    if g["steps"] == 1:
+        return ZGrid(np.array([g["stop"]]))
+    return ZGrid(np.linspace(g["start"], g["stop"], g["steps"]))
 
 
 def _resolve_propagator(raw: dict) -> dict:
     path = "propagator"
     _check_keys(raw, {"method", "tol"}, path)
     method = _as_str(raw.get("method", "eigen"), _join(path, "method"), ("eigen", "chebyshev"))
-    tol = _as_float(raw.get("tol", 1e-12), _join(path, "tol"),
-                    exclusive_minimum=0.0, maximum=1e-4)
-    if method == "eigen" and tol != 1e-12:
+    tol = _as_float(raw.get("tol", _CHEBYSHEV_TOL), _join(path, "tol"),
+                    exclusive_minimum=0.0, maximum=_MAX_CHEBYSHEV_TOL)
+    if method == "eigen" and tol != _CHEBYSHEV_TOL:
         _err(_join(path, "tol"), "read only by method 'chebyshev'")
     return {"method": method, "tol": tol}
 
@@ -233,10 +247,10 @@ def _resolve_dephasing(raw: dict, zstop: float) -> dict:
             _err(_join(path, key), "missing required key")
     seg = _as_float(raw["segment_length"], _join(path, "segment_length"), exclusive_minimum=0.0)
     strength = _as_float(raw["phase_strength"], _join(path, "phase_strength"), minimum=0.0)
-    n_seg = round(zstop / seg)
-    if n_seg < 1 or abs(n_seg * seg - zstop) > 1e-9 * max(1.0, zstop):
-        _err(_join(path, "segment_length"),
-             f"zgrid.stop={zstop} is not a whole number of segments of length {seg}")
+    try:
+        _n_segments(zstop, seg)
+    except ValueError as exc:
+        _err(_join(path, "segment_length"), str(exc))
     return {"segment_length": seg, "phase_strength": strength}
 
 
@@ -299,17 +313,9 @@ class ExperimentConfig:
 
     def lattice_spec(self) -> LatticeSpec:
         lat = self.lattice
-        n = lat["n_sites"]
-        n_bonds = n if lat["boundary"] == "periodic" else n - 1
-        coupling = lat["coupling"]
-        beta = lat["beta"]
-        return LatticeSpec(
-            n_sites=n,
-            coupling=np.full(n_bonds, coupling) if np.isscalar(coupling) else np.asarray(coupling),
-            beta=np.full(n, beta) if np.isscalar(beta) else np.asarray(beta),
-            boundary=Boundary(lat["boundary"]),
-            diag_convention=DiagConvention(lat["diag_convention"]),
-        )
+        return LatticeSpec(n_sites=lat["n_sites"], coupling=lat["coupling"], beta=lat["beta"],
+                           boundary=Boundary(lat["boundary"]),
+                           diag_convention=DiagConvention(lat["diag_convention"]))
 
     def initial(self) -> InitialState:
         ini = self.initial_state
@@ -320,21 +326,7 @@ class ExperimentConfig:
         return GaussianBeam(ini["center"], ini["width"], ini["tilt"])
 
     def zgrid_obj(self) -> ZGrid:
-        g = self.zgrid
-        if g["steps"] == 1:
-            values = np.array([g["stop"]])
-        else:
-            values = np.linspace(g["start"], g["stop"], g["steps"])
-        return ZGrid(values)
-
-    def disorder_spec(self) -> DisorderSpec:
-        d = self.disorder or {"offdiag_strength": 0.0, "diag_strength": 0.0}
-        return DisorderSpec(d["offdiag_strength"], d["diag_strength"])
-
-    def dephasing_spec(self) -> DephasingSpec:
-        if self.dephasing is None:
-            raise ConfigError("dephasing: missing block")
-        return DephasingSpec(self.dephasing["segment_length"], self.dephasing["phase_strength"])
+        return _zgrid(self.zgrid)
 
     def to_dict(self) -> dict[str, Any]:
         """The keys this experiment reads, so run.json records what ran."""
@@ -404,15 +396,8 @@ def load_config(raw: dict) -> ExperimentConfig:
         block["classical"] = _resolve_classical(_as_dict(raw.get("classical", {}), "classical"),
                                                 float(np.mean(lattice["coupling"])))
 
-    cfg = ExperimentConfig(experiment=experiment, lattice=lattice, zgrid=zgrid,
-                           output=output, **common, **block)
-    # constructing the domain objects catches any remaining cross-field issue early
-    try:
-        cfg.lattice_spec()
-        cfg.zgrid_obj()
-    except ValueError as exc:  # pragma: no cover - guarded above
-        raise ConfigError(str(exc)) from exc
-    return cfg
+    return ExperimentConfig(experiment=experiment, lattice=lattice, zgrid=zgrid,
+                            output=output, **common, **block)
 
 
 def validate_config(path) -> ExperimentConfig:

@@ -2,13 +2,13 @@
 
 Seeding contract: realization k draws from a generator seeded by
 (master_seed, spawn_key=(k,)) — a pure function of the pair, so any subset
-of realizations can be reproduced in isolation. Accumulation runs over fixed
-blocks of realizations, in the calling thread, reduced in index order, which
-makes ensemble statistics bit-identical across runs.
+of realizations can be reproduced in isolation. Realizations are summed in
+realization order, in the calling thread, which makes ensemble statistics
+bit-identical across runs.
 
 A dephasing block propagates as one (R, n) array: each noise segment is one
-Chebyshev recurrence over all R histories, on a spectral enclosure that
-holds for every segment Hamiltonian of every history.
+Chebyshev recurrence over all R histories, on the clean enclosure padded by
+the largest noise amplitude, which holds for every segment Hamiltonian.
 """
 
 from __future__ import annotations
@@ -17,27 +17,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .lattice import (
     Hamiltonian,
     InitialState,
     LatticeSpec,
     WaveFunction,
+    _check_near_one,
     build_hamiltonian,
     make_initial_state,
 )
 from .observables import participation_ratio, spread_variance
 from .propagators import (
+    _CHEBYSHEV_TOL,
     ZGrid,
     _chebyshev_coefficients,
+    _chebyshev_enclosure,
+    _chebyshev_step,
     decompose,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.decompose
     evolve_chebyshev,
     evolve_eigen,
-    spectral_bounds,
 )
 
-_BLOCK = 64  # realizations per reduction block; fixed so results never depend on it
-_DEPHASING_TOL = 1e-12  # Chebyshev coefficient tail per segment, as evolve_chebyshev
+_BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per grid row
 ROW_SUM_TOL = 1e-8  # how far a mean intensity row may sum from 1
 
 
@@ -107,10 +108,7 @@ class EnsembleStats:
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        row_sums = np.sum(self.mean_intensity, axis=1)
-        worst = float(np.max(np.abs(row_sums - 1.0)))
-        if not worst <= ROW_SUM_TOL:  # written so that NaN fails
-            raise ValueError(f"mean intensity rows sum off by {worst:.3e} (> {ROW_SUM_TOL:g})")
+        _check_near_one(np.sum(self.mean_intensity, axis=1), ROW_SUM_TOL, "mean intensity row sum")
         if not np.all(self.sem_intensity >= 0.0):
             raise ValueError("SEM must be nonnegative")
 
@@ -136,11 +134,6 @@ def sample_disordered_lattice(
     )
 
 
-def _zero_sums(nz: int, n: int):
-    """Running sums of one reduction: s, s^2 per site, variance and PR per row."""
-    return np.zeros((nz, n)), np.zeros((nz, n)), np.zeros(nz), np.zeros(nz)
-
-
 def _add_rows(sums, rows, inten: np.ndarray) -> None:
     """Add a stack of realizations (leading axis) at grid rows ``rows``."""
     s, s2, var_sum, pr_sum = sums
@@ -154,15 +147,12 @@ def _reduce_ensemble(block_rows, zgrid: ZGrid, n_realizations: int, n: int) -> E
     """``block_rows(lo, hi)`` yields (grid rows, intensities) pairs covering
     realizations lo..hi-1; intensities carry one realization per leading index."""
     nz = len(zgrid)
-    total = _zero_sums(nz, n)
+    # s, s^2 per site, variance and PR per row, each one running sum
+    sums = np.zeros((nz, n)), np.zeros((nz, n)), np.zeros(nz), np.zeros(nz)
     for lo in range(0, n_realizations, _BLOCK):
-        block = _zero_sums(nz, n)
         for rows, inten in block_rows(lo, min(lo + _BLOCK, n_realizations)):
-            _add_rows(block, rows, inten)
-        # fixed-order reduction over blocks
-        for acc, part in zip(total, block):
-            acc += part
-    s, s2, var_sum, pr_sum = total
+            _add_rows(sums, rows, inten)
+    s, s2, var_sum, pr_sum = sums
     nr = float(n_realizations)
     mean = s / nr
     if n_realizations > 1:
@@ -188,7 +178,7 @@ def run_ensemble(
     n_realizations: int,
     master_seed: int,
     method: str = "eigen",
-    tol: float = 1e-12,
+    tol: float = _CHEBYSHEV_TOL,
 ) -> EnsembleStats:
     """Evolve n_realizations disorder samples and accumulate statistics."""
     if n_realizations < 1:
@@ -223,15 +213,12 @@ def _dephasing_block_rows(
     noise in order from its own stream, and yields (row, I) one grid row at a
     time, with I of shape (k_hi - k_lo, n_sites).
 
-    What every history shares is set up once: the spectral enclosure (the
-    Gershgorin discs of H0 widened by the largest noise amplitude hold every
-    H0 + diag(noise)), the grid rows met in each segment with their offsets
-    from its start, and one Chebyshev coefficient set per distinct offset."""
+    What every history shares is set up once: the spectral enclosure, the
+    grid rows met in each segment with their offsets from its start, and one
+    Chebyshev coefficient set per distinct offset."""
     n = h0.n_sites
     half = 0.5 * deph.phase_strength
-    emin, emax = spectral_bounds(h0)
-    emin, emax = emin - half, emax + half
-    center, halfwidth = 0.5 * (emax + emin), 0.5 * (emax - emin)
+    center, halfwidth = _chebyshev_enclosure(h0, pad=half)
     dz = deph.segment_length
     zvals = zgrid.values
     starts_at_zero = zvals[0] == 0.0
@@ -248,7 +235,7 @@ def _dephasing_block_rows(
     if gi < zvals.size:
         raise ValueError("zgrid extends past the final noise segment")
     offsets = {dz} | {dt for met in segments for _, dt in met}
-    coeffs = {dt: _chebyshev_coefficients(halfwidth * dt, _DEPHASING_TOL) for dt in offsets}
+    coeffs = {dt: _chebyshev_coefficients(halfwidth * dt, _CHEBYSHEV_TOL) for dt in offsets}
 
     def block_rows(k_lo: int, k_hi: int):
         rngs = [policy.stream(k) for k in range(k_lo, k_hi)]
@@ -258,10 +245,8 @@ def _dephasing_block_rows(
         noise = np.empty((len(rngs), n))
 
         def advance(diag, dt):
-            amps = kernels.chebyshev_apply(
-                diag, h0.offdiag, h0.corner, center, halfwidth, coeffs[dt], psi
-            )
-            return np.exp(-1j * center * dt) * amps
+            return _chebyshev_step(diag, h0.offdiag, h0.corner, center, halfwidth, coeffs[dt],
+                                   dt, psi)
 
         for met in segments:
             for r, rng in enumerate(rngs):
@@ -276,6 +261,16 @@ def _dephasing_block_rows(
                     yield row, np.abs(psi) ** 2
 
     return block_rows
+
+
+def _n_segments(zmax: float, segment_length: float) -> int:
+    """Noise segments up to zmax, which must be a whole number of them (relative 1e-9)."""
+    ratio = zmax / segment_length
+    n = round(ratio) if np.isfinite(ratio) else 0
+    if n < 1 or abs(n * segment_length - zmax) > 1e-9 * max(1.0, zmax):
+        raise ValueError(f"zgrid.stop={zmax} is not a whole number of segments of "
+                         f"length {segment_length}")
+    return n
 
 
 def evolve_dephasing(
@@ -293,10 +288,7 @@ def evolve_dephasing(
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    zmax = float(zgrid.values[-1])
-    n_segments = int(round(zmax / deph.segment_length))
-    if n_segments < 1 or abs(n_segments * deph.segment_length - zmax) > 1e-9 * max(1.0, zmax):
-        raise ValueError("zgrid max must be a whole number of noise segments")
+    n_segments = _n_segments(float(zgrid.values[-1]), deph.segment_length)
     h0 = build_hamiltonian(base)
     psi0 = make_initial_state(init, base.n_sites)
     if deph.phase_strength == 0.0:

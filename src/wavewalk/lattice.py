@@ -41,6 +41,13 @@ class DiagConvention(Enum):
     MINUS_DEGREE_GAMMA = "minus_degree_gamma"
 
 
+def _check_near_one(values, tol: float, what: str) -> None:
+    """ValueError unless every value lies within tol of 1 (NaN and inf fail)."""
+    worst = float(np.max(np.abs(np.asarray(values, dtype=np.float64) - 1.0)))
+    if not worst <= tol:  # written so that NaN fails
+        raise ValueError(f"{what} off from 1 by {worst:.3e} (> {tol:g})")
+
+
 def _as_float_vector(x, n: int, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim == 0:
@@ -97,14 +104,8 @@ def uniform_lattice(
     diag_convention: DiagConvention = DiagConvention.BETA_AS_GIVEN,
 ) -> LatticeSpec:
     """Clean lattice: identical couplings, beta = 0 everywhere."""
-    n_bonds = n_sites if boundary is Boundary.PERIODIC else n_sites - 1
-    return LatticeSpec(
-        n_sites=n_sites,
-        coupling=np.full(n_bonds, float(coupling)),
-        beta=np.zeros(n_sites),
-        boundary=boundary,
-        diag_convention=diag_convention,
-    )
+    return LatticeSpec(n_sites=n_sites, coupling=float(coupling), beta=0.0,
+                       boundary=boundary, diag_convention=diag_convention)
 
 
 @dataclass(frozen=True)
@@ -165,8 +166,7 @@ class WaveFunction:
     def __post_init__(self):
         amps = np.ascontiguousarray(self.amps, dtype=np.complex128)
         nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-        if not abs(nrm - 1.0) <= self.norm_tol:  # written so that NaN fails
-            raise ValueError(f"state norm {nrm!r} deviates from 1 beyond {self.norm_tol}")
+        _check_near_one(nrm, self.norm_tol, "state norm")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
 
@@ -203,6 +203,13 @@ class GaussianBeam:
 InitialState = Union[SingleSite, TwoSite, GaussianBeam]
 
 
+def _gaussian_envelope(offset, width: float):
+    """exp(-offset^2 / 2w^2). The product w*w, not the float power w**2, so a
+    huge width gives a flat envelope instead of an OverflowError."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # w*w underflowed to 0
+        return np.exp(-np.square(offset) / (2.0 * width * width))
+
+
 def _check_site(j, n_sites: int, name: str) -> None:
     if not 0 <= j < n_sites:
         raise ValueError(f"{name}={j} outside lattice [0, {n_sites})")
@@ -226,7 +233,7 @@ def make_initial_state(spec: InitialState, n_sites: int) -> WaveFunction:
             raise ValueError("width_sites must be > 0")
         _check_site(int(round(spec.center)), n_sites, "center")
         j = np.arange(n_sites)
-        envelope = np.exp(-((j - spec.center) ** 2) / (2.0 * spec.width_sites**2))
+        envelope = _gaussian_envelope(j - spec.center, spec.width_sites)
         amps = envelope * np.exp(1j * spec.tilt_phase_per_site * j)
         amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     else:

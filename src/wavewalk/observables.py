@@ -16,6 +16,10 @@ def intensity(psi: WaveFunction) -> ProbabilityDist:
     return ProbabilityDist(np.abs(psi.amps) ** 2)
 
 
+def _probs(p: ProbabilityDist | np.ndarray) -> np.ndarray:
+    return p.probs if isinstance(p, ProbabilityDist) else np.asarray(p, dtype=np.float64)
+
+
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product over the last axis, one BLAS dot per row, so every row of
     a stack gives the bits of the same 1-d call."""
@@ -29,7 +33,7 @@ def _scalar_if_1d(x: np.ndarray) -> float | np.ndarray:
 def spread_variance(p: ProbabilityDist | np.ndarray) -> float | np.ndarray:
     """Second central moment of the site index (last axis; one value per row
     of a stack). Two passes: the mean first, then the centered moment."""
-    probs = p.probs if isinstance(p, ProbabilityDist) else np.asarray(p, dtype=np.float64)
+    probs = _probs(p)
     sites = np.arange(probs.shape[-1], dtype=np.float64)
     mu = _row_dot(probs, sites)
     return _scalar_if_1d(_row_dot((sites - mu[..., None]) ** 2, probs))
@@ -38,14 +42,13 @@ def spread_variance(p: ProbabilityDist | np.ndarray) -> float | np.ndarray:
 def participation_ratio(p: ProbabilityDist | np.ndarray) -> float | np.ndarray:
     """1 / sum_j p_j^2 — effective number of occupied sites, in [1, n]
     (last axis; one value per row of a stack)."""
-    probs = p.probs if isinstance(p, ProbabilityDist) else np.asarray(p, dtype=np.float64)
+    probs = _probs(p)
     return _scalar_if_1d(1.0 / np.sum(probs**2, axis=-1))
 
 
 def total_variation_distance(p, q) -> float:
     """(1/2) sum_j |p_j - q_j|, in [0, 1]."""
-    pa = p.probs if isinstance(p, ProbabilityDist) else np.asarray(p, dtype=np.float64)
-    qa = q.probs if isinstance(q, ProbabilityDist) else np.asarray(q, dtype=np.float64)
+    pa, qa = _probs(p), _probs(q)
     if pa.shape != qa.shape:
         raise ValueError(f"length mismatch: {pa.shape} vs {qa.shape}")
     return float(0.5 * np.sum(np.abs(pa - qa)))
@@ -75,9 +78,7 @@ def fit_localization_length(
     region carries its own structure and is excluded from the exponential
     tail. ``origin`` defaults to the most probable site.
     """
-    probs = (
-        mean_p.probs if isinstance(mean_p, ProbabilityDist) else np.asarray(mean_p, dtype=np.float64)
-    )
+    probs = _probs(mean_p)
     n = probs.shape[0]
     lo, hi = int(window[0]), int(window[1])
     if lo < 0 or hi < lo:

@@ -24,7 +24,7 @@ from scipy.special import ive
 
 from . import kernels
 from .errors import WindowTooSmallError
-from .lattice import WaveFunction
+from .lattice import WaveFunction, _check_near_one
 
 _UNIT_PHASES = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])  # (-i)^k, k mod 4
 
@@ -40,9 +40,7 @@ class ProbabilityDist:
         p = np.ascontiguousarray(self.probs, dtype=np.float64)
         if not np.all(p >= 0.0):  # written so that NaN fails
             raise ValueError("probabilities must be nonnegative")
-        total = float(np.sum(p))
-        if not abs(total - 1.0) <= self.tol:
-            raise ValueError(f"probabilities sum to {total!r}, off by more than {self.tol}")
+        _check_near_one(np.sum(p), self.tol, "probability sum")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 

@@ -18,7 +18,7 @@ from scipy.linalg import eigh_tridiagonal
 
 from . import kernels
 from .errors import ChebyshevConvergenceError
-from .lattice import Hamiltonian, WaveFunction
+from .lattice import Hamiltonian, WaveFunction, _check_near_one
 
 
 @dataclass(frozen=True)
@@ -55,10 +55,7 @@ class Snapshots:
         a = np.ascontiguousarray(self.amps, dtype=np.complex128)
         if a.shape[0] != len(self.zgrid):
             raise ValueError("one state per grid point required")
-        norms = np.sqrt(np.sum(np.abs(a) ** 2, axis=1))
-        worst = float(np.max(np.abs(norms - 1.0)))
-        if not worst <= self.norm_tol:  # written so that NaN fails
-            raise ValueError(f"snapshot norm drift {worst:.3e} exceeds {self.norm_tol}")
+        _check_near_one(np.sqrt(np.sum(np.abs(a) ** 2, axis=1)), self.norm_tol, "snapshot norm")
         a.setflags(write=False)
         object.__setattr__(self, "amps", a)
 
@@ -117,15 +114,33 @@ def evolve_eigen(
 
 def spectral_bounds(h: Hamiltonian) -> tuple[float, float]:
     """Certified spectrum enclosure (Gershgorin discs)."""
-    n = h.n_sites
-    radius = np.zeros(n)
+    return _gershgorin(h)[:2]
+
+
+def _gershgorin(h: Hamiltonian) -> tuple[float, float, float]:
+    """Lowest and highest Gershgorin disc edges, and the largest radius."""
+    radius = np.zeros(h.n_sites)
     radius[:-1] += np.abs(h.offdiag)
     radius[1:] += np.abs(h.offdiag)
     if h.corner != 0.0:
         radius[0] += abs(h.corner)
         radius[-1] += abs(h.corner)
-    return float(np.min(h.diag - radius)), float(np.max(h.diag + radius))
+    return (float(np.min(h.diag - radius)), float(np.max(h.diag + radius)),
+            float(np.max(radius)))
 
+
+def _chebyshev_enclosure(h: Hamiltonian, pad: float = 0.0) -> tuple[float, float]:
+    """Centre and half-width of an interval holding the spectrum of every
+    H + diag(u), |u_j| <= pad. The half-width is floored at the largest radius
+    plus pad, as exact arithmetic gives, so a huge uniform beta is a phase."""
+    emin, emax, rmax = _gershgorin(h)
+    emin, emax = emin - pad, emax + pad
+    return 0.5 * (emax + emin), max(0.5 * (emax - emin), rmax + pad)
+
+
+# Chebyshev coefficient tail: the default, and the loosest tol a run accepts
+_CHEBYSHEV_TOL = 1e-12
+_MAX_CHEBYSHEV_TOL = 1e-4
 
 # ceiling on the order cap, checked before the Bessel sequence is allocated;
 # an expansion that long would already cost a million matvecs per z point
@@ -160,6 +175,13 @@ def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
     return coeffs
 
 
+def _chebyshev_step(diag, offdiag, corner, center, halfwidth, coeffs, z, psi):
+    """exp(-iHz) psi, with ``coeffs`` those of halfwidth*z: the recurrence
+    expands exp(-i(H - center)z), and the centre comes back as a phase."""
+    amps = kernels.chebyshev_apply(diag, offdiag, corner, center, halfwidth, coeffs, psi)
+    return np.exp(-1j * center * z) * amps
+
+
 def chebyshev_norm_tol(tol: float) -> float:
     """Norm drift that a Chebyshev run with coefficient tail ``tol`` admits."""
     return max(1e-9, 10.0 * tol)
@@ -169,7 +191,7 @@ def evolve_chebyshev(
     h: Hamiltonian,
     psi0: WaveFunction,
     zgrid: ZGrid,
-    tol: float = 1e-12,
+    tol: float = _CHEBYSHEV_TOL,
 ) -> Snapshots:
     """Chebyshev expansion of exp(-iHz) psi0 with certified coefficient tail < tol.
 
@@ -179,16 +201,12 @@ def evolve_chebyshev(
     lattice's spectral scaling and coefficients: the same arithmetic as on
     the whole lattice. The window is clipped at open-chain ends; on a ring,
     a window that would wrap is the whole ring."""
-    if not 0.0 < tol <= 1e-4:
-        raise ValueError("tol must lie in (0, 1e-4]")
+    if not 0.0 < tol <= _MAX_CHEBYSHEV_TOL:
+        raise ValueError(f"tol must lie in (0, {_MAX_CHEBYSHEV_TOL:g}]")
     if psi0.n_sites != h.n_sites:
         raise ValueError("state size does not match Hamiltonian")
     n = h.n_sites
-    emin, emax = spectral_bounds(h)
-    center = 0.5 * (emax + emin)
-    halfwidth = 0.5 * (emax - emin)
-    if halfwidth <= 0.0:
-        halfwidth = 1.0  # H is a multiple of the identity; any scaling works
+    center, halfwidth = _chebyshev_enclosure(h)
     support = np.flatnonzero(psi0.amps)
     a, b = int(support[0]), int(support[-1])
     states = np.zeros((len(zgrid), n), dtype=np.complex128)
@@ -201,11 +219,10 @@ def evolve_chebyshev(
         lo, hi, corner = max(0, a - k), min(n, b + k + 1), 0.0
         if h.corner != 0.0 and (a - k < 0 or b + k + 1 > n):  # the window wraps the ring
             lo, hi, corner = 0, n, h.corner
-        acc = kernels.chebyshev_apply(
-            h.diag[lo:hi], h.offdiag[lo : hi - 1], corner, center, halfwidth, coeffs,
+        states[i, lo:hi] = _chebyshev_step(
+            h.diag[lo:hi], h.offdiag[lo : hi - 1], corner, center, halfwidth, coeffs, z,
             psi0.amps[lo:hi],
         )
-        states[i, lo:hi] = np.exp(-1j * center * z) * acc
     return Snapshots(
         zgrid=zgrid, amps=states, method="chebyshev", norm_tol=chebyshev_norm_tol(tol)
     )

@@ -12,6 +12,7 @@ import pytest
 import wavewalk
 from wavewalk import bessel_free_state, image_boundary_state, validate_config
 from wavewalk.cli import _fmt, _write_matrix_csv, main
+from wavewalk.ensembles import ROW_SUM_TOL
 
 
 def _read_csv(path):
@@ -63,9 +64,14 @@ SMALL = {"lattice": {"n_sites": 41}, "zgrid": {"stop": 2.0, "steps": 3}}
          "dephasing": {"segment_length": 0.5, "phase_strength": 1.0}, "n_realizations": 3},
         {**SMALL, "experiment": "boundary_sweep", "sweep": {"input_min": 0, "input_max": 5}},
         {**SMALL, "experiment": "classical"},
+        # a uniform beta so large that it rounds the Gershgorin width away
+        {**SMALL, "experiment": "ballistic", "lattice": {"n_sites": 41, "beta": 1e17},
+         "propagator": {"method": "chebyshev"}},
+        {**SMALL, "experiment": "dephasing", "lattice": {"n_sites": 41, "beta": 1e17},
+         "dephasing": {"segment_length": 0.5, "phase_strength": 1.0}, "n_realizations": 3},
     ],
     ids=["ballistic", "two_site", "gaussian", "disorder", "dephasing", "boundary_sweep",
-         "classical"],
+         "classical", "chebyshev_beta_1e17", "dephasing_beta_1e17"],
 )
 def test_run_json_round_trips(tmp_path, payload):
     out = tmp_path / "out"
@@ -113,14 +119,48 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         ({**SMALL, "experiment": "ballistic", "zgrid": {"stop": 1e300, "steps": 2},
           "propagator": {"method": "chebyshev"}},
          3, "numerical failure: halfwidth*z"),
+        ({**SMALL, "experiment": "ballistic",
+          "initial_state": {"kind": "gaussian", "center": 10, "width": 2, "tilt": 1e308}},
+         2, "config error: initial_state.tilt"),
+        ({**SMALL, "experiment": "ballistic",
+          "zgrid": {"start": 1.0, "stop": 1.0000000000000002, "steps": 101}},
+         2, "config error: zgrid.steps"),
     ],
     ids=["disorder_tol", "gaussian_width", "gaussian_off_site", "dephasing_strength",
-         "ballistic_z"],
+         "ballistic_z", "gaussian_tilt", "collapsed_zgrid"],
 )
 def test_unrunnable_config_exits_with_a_message(tmp_path, capsys, payload, code, key):
     cfg = _write_cfg(tmp_path, "f.json", {**payload, "output": {"directory": str(tmp_path)}})
     assert main(["simulate", str(cfg)]) == code
     assert key in capsys.readouterr().err
+
+
+def test_huge_gaussian_width_launches_a_plane_wave(tmp_path):
+    cfg = _write_cfg(tmp_path, "w.json", {
+        **SMALL, "experiment": "ballistic",
+        "initial_state": {"kind": "gaussian", "center": 20, "width": 1e160},
+        "output": {"directory": str(tmp_path)}})
+    assert main(["simulate", str(cfg)]) == 0
+    _, data = _read_csv(tmp_path / "intensity.csv")
+    assert data[0, 0] == 0.0
+    assert np.allclose(data[0, 1:], 1.0 / 41, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {**SMALL, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
+         "n_realizations": 3},
+        {**SMALL, "experiment": "dephasing",
+         "dephasing": {"segment_length": 0.5, "phase_strength": 1.0}, "n_realizations": 3},
+    ],
+    ids=["disorder", "dephasing"],
+)
+def test_ensemble_csv_states_the_enforced_row_sum_tolerance(tmp_path, payload):
+    cfg = _write_cfg(tmp_path, "e.json", {**payload, "output": {"directory": str(tmp_path)}})
+    assert main(["simulate", str(cfg)]) == 0
+    first = (tmp_path / "intensity.csv").read_text().splitlines()[0]
+    assert first == f"# row probability sum tolerance: {ROW_SUM_TOL:g}"
 
 
 def _write_matrix_csv_per_value(path, first_header, first_col, rows, comment=None):

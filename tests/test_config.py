@@ -191,6 +191,9 @@ def test_unknown_keys_rejected_with_path(mutate, needle):
          "minus_degree_gamma"}, "zgrid": {"stop": 1.0}},
         {"experiment": "classical", "lattice": {"n_sites": 9, "boundary": "periodic"},
          "zgrid": {"stop": 1.0}},
+        # zgrid.stop / segment_length overflows
+        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1e300},
+         "dephasing": {"segment_length": 1e-300, "phase_strength": 1.0}},
     ],
 )
 def test_invalid_configs_rejected(raw):

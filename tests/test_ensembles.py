@@ -25,7 +25,7 @@ from wavewalk import (
     sample_disordered_lattice,
     uniform_lattice,
 )
-from wavewalk.ensembles import _dephasing_block_rows
+from wavewalk.ensembles import ROW_SUM_TOL, _dephasing_block_rows
 
 
 BASE = uniform_lattice(99)
@@ -92,7 +92,7 @@ def test_ensemble_equals_sequential_left_fold():
         return evolve_eigen(build_hamiltonian(spec),
                             make_initial_state(SingleSite(49), 99), grid).intensities()
 
-    for n in (3, 6):
+    for n in (3, 6, 130):
         acc = np.zeros((2, 99))
         for k in range(n):
             acc += one(k)
@@ -168,6 +168,14 @@ def test_dephasing_requires_whole_segments():
     grid = ZGrid(np.array([5.3]))
     with pytest.raises(ValueError):
         evolve_dephasing(lat, DephasingSpec(0.5, 4.0), SingleSite(15), grid, 2, 0)
+
+
+def test_dephasing_with_a_huge_uniform_beta_runs():
+    # beta = 1e17 rounds the Gershgorin width of the clean lattice to 0
+    lat = LatticeSpec(21, np.ones(20), np.full(21, 1e17))
+    grid = ZGrid(np.linspace(0.0, 2.0, 5))
+    stats = evolve_dephasing(lat, DephasingSpec(0.5, 1.0), SingleSite(10), grid, 3, 1)
+    assert np.max(np.abs(stats.mean_intensity.sum(axis=1) - 1.0)) <= ROW_SUM_TOL
 
 
 def _block(h, psi0, grid, deph, seed, k_lo, k_hi):

@@ -271,6 +271,22 @@ def test_chebyshev_light_cone_window_is_exact(launch, boundary, disordered):
     assert np.count_nonzero(got[-1]) == _WINDOW_N
 
 
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+def test_uniform_beta_is_a_pure_phase(boundary):
+    # beta = 1e17 rounds the Gershgorin width away: the enclosure keeps the
+    # largest radius, so the run is the beta = 0 run times a phase
+    n = 41
+    n_bonds = n if boundary is Boundary.PERIODIC else n - 1
+    psi0 = make_initial_state(SingleSite(20), n)
+    grid = ZGrid(np.linspace(0.0, 6.0, 7))
+    runs = [
+        evolve_chebyshev(build_hamiltonian(LatticeSpec(n, np.ones(n_bonds), np.full(n, beta),
+                                                       boundary=boundary)), psi0, grid)
+        for beta in (0.0, 1e17)
+    ]
+    assert np.max(np.abs(runs[1].intensities() - runs[0].intensities())) <= 1e-12
+
+
 # --- RK4 oracle --------------------------------------------------------------
 
 
