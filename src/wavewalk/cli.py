@@ -99,7 +99,6 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
         stats = run_ensemble(
             lattice, DisorderSpec(**cfg.disorder), cfg.initial(), zgrid,
             cfg.n_realizations, cfg.master_seed,
-            method=cfg.propagator["method"], tol=cfg.propagator["tol"],
         )
         intensities = stats.mean_intensity
     elif cfg.experiment == "dephasing":

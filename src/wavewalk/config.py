@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensembles import ROW_SUM_TOL, _n_segments
+from .ensembles import _n_segments
 from .lattice import (
     Boundary,
     DiagConvention,
@@ -26,7 +26,7 @@ from .lattice import (
     TwoSite,
     _gaussian_envelope,
 )
-from .propagators import _CHEBYSHEV_TOL, _MAX_CHEBYSHEV_TOL, ZGrid, chebyshev_norm_tol
+from .propagators import _CHEBYSHEV_TOL, _MAX_CHEBYSHEV_TOL, ZGrid
 
 
 class ConfigError(ValueError):
@@ -39,7 +39,7 @@ FORMATS = ("csv", "json", "pgm")
 # the optional top-level keys each experiment reads; any other is rejected
 READS = {
     "ballistic": ("initial_state", "propagator"),
-    "disorder": ("initial_state", "propagator", "disorder", "n_realizations", "master_seed"),
+    "disorder": ("initial_state", "disorder", "n_realizations", "master_seed"),
     "dephasing": ("initial_state", "dephasing", "n_realizations", "master_seed"),
     "boundary_sweep": ("sweep",),
     "classical": ("initial_state", "classical"),
@@ -369,14 +369,6 @@ def load_config(raw: dict) -> ExperimentConfig:
                              ("diag_convention", "beta_as_given")):
             if lattice[key] != default:
                 _err(_join("lattice", key), "not read by experiment 'classical'")
-    prop = common["propagator"]
-    if experiment == "disorder" and prop["method"] == "chebyshev":
-        # each realization is held to its norm tolerance, the mean rows to ROW_SUM_TOL
-        drift = chebyshev_norm_tol(prop["tol"])
-        if drift > ROW_SUM_TOL:
-            _err("propagator.tol",
-                 f"{prop['tol']!r} admits a norm drift of {drift:g} per realization, "
-                 f"more than the ensemble's row-sum check of {ROW_SUM_TOL:g}")
     if experiment == "boundary_sweep" and lattice["boundary"] != "open":
         _err("lattice.boundary", "boundary_sweep needs an open chain (a reflecting edge)")
 
@@ -385,6 +377,13 @@ def load_config(raw: dict) -> ExperimentConfig:
         if "disorder" not in raw:
             _err("disorder", "missing block required by the disorder experiment")
         block["disorder"] = _resolve_disorder(_as_dict(raw["disorder"], "disorder"))
+        # the smallest coupling a realization can draw must stay a normal float
+        w = block["disorder"]["offdiag_strength"]
+        smallest = float(np.min(lattice["coupling"])) * (1.0 - w)
+        if not smallest >= np.finfo(np.float64).tiny:
+            _err(_join("lattice", "coupling"),
+                 f"disorder can draw a coupling of {smallest!r}, below the smallest "
+                 f"normal float")
     elif experiment == "dephasing":
         if "dephasing" not in raw:
             _err("dephasing", "missing block required by the dephasing experiment")

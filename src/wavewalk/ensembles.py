@@ -2,9 +2,11 @@
 
 Seeding contract: realization k draws from a generator seeded by
 (master_seed, spawn_key=(k,)) — a pure function of the pair, so any subset
-of realizations can be reproduced in isolation. Realizations are summed in
-realization order, in the calling thread, which makes ensemble statistics
-bit-identical across runs.
+of realizations can be reproduced in isolation. Sums run in the calling
+thread in a fixed order, so ensemble statistics are bit-identical across
+runs: disorder adds one realization after another (a left fold); dephasing
+adds the sum over each block of ``_BLOCK`` consecutive histories, one block
+after another, which is not a left fold over histories.
 
 A dephasing block propagates as one (R, n) array: each noise segment is one
 Chebyshev recurrence over all R histories, on the clean enclosure padded by
@@ -34,11 +36,10 @@ from .propagators import (
     _chebyshev_enclosure,
     _chebyshev_step,
     decompose,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.decompose
-    evolve_chebyshev,
+    evolve_chebyshev,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.evolve_chebyshev
     evolve_eigen,
 )
 
-_BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per grid row
 ROW_SUM_TOL = 1e-8  # how far a mean intensity row may sum from 1
 
 
@@ -134,25 +135,18 @@ def sample_disordered_lattice(
     )
 
 
-def _add_rows(sums, rows, inten: np.ndarray) -> None:
-    """Add a stack of realizations (leading axis) at grid rows ``rows``."""
-    s, s2, var_sum, pr_sum = sums
-    s[rows] += np.sum(inten, axis=0)
-    s2[rows] += np.sum(inten * inten, axis=0)
-    var_sum[rows] += np.sum(spread_variance(inten), axis=0)
-    pr_sum[rows] += np.sum(participation_ratio(inten), axis=0)
-
-
-def _reduce_ensemble(block_rows, zgrid: ZGrid, n_realizations: int, n: int) -> EnsembleStats:
-    """``block_rows(lo, hi)`` yields (grid rows, intensities) pairs covering
-    realizations lo..hi-1; intensities carry one realization per leading index."""
+def _reduce_ensemble(pairs, zgrid: ZGrid, n_realizations: int, n: int) -> EnsembleStats:
+    """Sum ``pairs`` of (grid rows, intensities), in the order given, into
+    ensemble statistics; intensities carry one realization per leading index,
+    and the pairs cover each grid row of all n_realizations exactly once."""
     nz = len(zgrid)
     # s, s^2 per site, variance and PR per row, each one running sum
-    sums = np.zeros((nz, n)), np.zeros((nz, n)), np.zeros(nz), np.zeros(nz)
-    for lo in range(0, n_realizations, _BLOCK):
-        for rows, inten in block_rows(lo, min(lo + _BLOCK, n_realizations)):
-            _add_rows(sums, rows, inten)
-    s, s2, var_sum, pr_sum = sums
+    s, s2, var_sum, pr_sum = np.zeros((nz, n)), np.zeros((nz, n)), np.zeros(nz), np.zeros(nz)
+    for rows, inten in pairs:
+        s[rows] += np.sum(inten, axis=0)
+        s2[rows] += np.sum(inten * inten, axis=0)
+        var_sum[rows] += np.sum(spread_variance(inten), axis=0)
+        pr_sum[rows] += np.sum(participation_ratio(inten), axis=0)
     nr = float(n_realizations)
     mean = s / nr
     if n_realizations > 1:
@@ -177,27 +171,23 @@ def run_ensemble(
     zgrid: ZGrid,
     n_realizations: int,
     master_seed: int,
-    method: str = "eigen",
-    tol: float = _CHEBYSHEV_TOL,
 ) -> EnsembleStats:
-    """Evolve n_realizations disorder samples and accumulate statistics."""
+    """Evolve n_realizations disorder samples by exact diagonalization and
+    accumulate statistics."""
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    if method not in ("eigen", "chebyshev"):
-        raise ValueError(f"unknown propagation method {method!r}")
     psi0 = make_initial_state(init, base.n_sites)
     policy = SeedPolicy(master_seed)
 
-    def block_rows(k_lo: int, k_hi: int):
-        for k in range(k_lo, k_hi):
+    def pairs():
+        for k in range(n_realizations):
             h = build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
-            if method == "eigen":
-                snap = evolve_eigen(h, psi0, zgrid)
-            else:
-                snap = evolve_chebyshev(h, psi0, zgrid, tol=tol)
-            yield slice(None), snap.intensities()[None]
+            yield slice(None), evolve_eigen(h, psi0, zgrid).intensities()[None]
 
-    return _reduce_ensemble(block_rows, zgrid, n_realizations, base.n_sites)
+    return _reduce_ensemble(pairs(), zgrid, n_realizations, base.n_sites)
+
+
+_BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per grid row
 
 
 def _dephasing_block_rows(
@@ -302,4 +292,6 @@ def evolve_dephasing(
             pr_trace=participation_ratio(inten),
         )
     block_rows = _dephasing_block_rows(h0, psi0, zgrid, deph, n_segments, SeedPolicy(master_seed))
-    return _reduce_ensemble(block_rows, zgrid, n_realizations, base.n_sites)
+    pairs = (pair for lo in range(0, n_realizations, _BLOCK)
+             for pair in block_rows(lo, min(lo + _BLOCK, n_realizations)))
+    return _reduce_ensemble(pairs, zgrid, n_realizations, base.n_sites)

@@ -72,7 +72,7 @@ def bessel_free_state(j0: int, c: float, z: float, n_sites: int) -> WaveFunction
     bess = kernels.bessel_j_sequence(x, int(dist.max()))
     amps = _UNIT_PHASES[dist % 4] * bess[dist]
     tail = 1.0 - float(np.sum(bess[dist] ** 2))  # sum_n J_n(x)^2 = 1 over all n
-    if tail > 1e-12:
+    if not tail <= 1e-12:  # written so that NaN fails
         raise WindowTooSmallError(
             f"window of {n_sites} sites drops probability {tail:.3e} at 2cz={x:g}"
         )
@@ -97,7 +97,7 @@ def image_boundary_state(j0: int, c: float, z: float, n_sites: int) -> WaveFunct
     amps = _UNIT_PHASES[d_real % 4] * bess[d_real] - _UNIT_PHASES[d_image % 4] * bess[d_image]
     mass = float(np.sum(np.abs(amps) ** 2))
     # the half-lattice carries unit probability; a deficit means truncation
-    if abs(mass - 1.0) > 1e-11:
+    if not abs(mass - 1.0) <= 1e-11:  # written so that NaN fails
         raise WindowTooSmallError(
             f"window of {n_sites} sites keeps probability {mass!r} at 2cz={x:g}"
         )
@@ -117,7 +117,7 @@ def classical_ctrw_distribution(
     dist = np.abs(np.arange(n_sites) - j0)
     probs = ive(dist, 2.0 * gamma * t)  # ive(n, x) = exp(-x) I_n(x), exactly our form
     tail = 1.0 - float(np.sum(probs))
-    if tail > 1e-10:
+    if not tail <= 1e-10:  # written so that NaN fails (ive is NaN at huge 2*gamma*t)
         raise WindowTooSmallError(
             f"window of {n_sites} sites drops probability {tail:.3e} at 2*gamma*t={2*gamma*t:g}"
         )

@@ -92,8 +92,10 @@ def test_run_json_round_trips(tmp_path, payload):
           "initial_state": {"kind": "gaussian", "center": 30, "width": 2}}, "initial_state"),
         ({**SMALL, "experiment": "classical", "master_seed": 3}, "master_seed"),
         ({**SMALL, "experiment": "ballistic", "n_realizations": 1000}, "n_realizations"),
+        ({**SMALL, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
+          "n_realizations": 4, "propagator": {"method": "chebyshev", "tol": 1e-4}}, "propagator"),
     ],
-    ids=["dephasing", "boundary_sweep", "classical", "ballistic"],
+    ids=["dephasing", "boundary_sweep", "classical", "ballistic", "disorder"],
 )
 def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
     cfg = _write_cfg(tmp_path, "u.json", {**payload, "output": {"directory": str(tmp_path)}})
@@ -104,9 +106,6 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
 @pytest.mark.parametrize(
     "payload,code,key",
     [
-        ({**SMALL, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
-          "n_realizations": 4, "propagator": {"method": "chebyshev", "tol": 1e-4}},
-         2, "config error: propagator.tol"),
         ({**SMALL, "experiment": "ballistic",
           "initial_state": {"kind": "gaussian", "center": 10, "width": 1e-300}},
          2, "config error: initial_state.width"),
@@ -125,9 +124,17 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         ({**SMALL, "experiment": "ballistic",
           "zgrid": {"start": 1.0, "stop": 1.0000000000000002, "steps": 101}},
          2, "config error: zgrid.steps"),
+        # ive(n, 2*gamma*t) is NaN this far out
+        ({"experiment": "classical", "lattice": {"n_sites": 4, "coupling": 1e-9},
+          "zgrid": {"stop": 1e6, "steps": 3}, "classical": {"gamma": 1e6}},
+         3, "numerical failure: window of 4 sites"),
+        ({**SMALL, "experiment": "disorder", "lattice": {"n_sites": 5, "coupling": 5e-324},
+          "disorder": {"offdiag_strength": 0.999999}, "n_realizations": 4},
+         2, "config error: lattice.coupling"),
     ],
-    ids=["disorder_tol", "gaussian_width", "gaussian_off_site", "dephasing_strength",
-         "ballistic_z", "gaussian_tilt", "collapsed_zgrid"],
+    ids=["gaussian_width", "gaussian_off_site", "dephasing_strength", "ballistic_z",
+         "gaussian_tilt", "collapsed_zgrid", "classical_huge_gamma_t",
+         "disorder_coupling_underflow"],
 )
 def test_unrunnable_config_exits_with_a_message(tmp_path, capsys, payload, code, key):
     cfg = _write_cfg(tmp_path, "f.json", {**payload, "output": {"directory": str(tmp_path)}})

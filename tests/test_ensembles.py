@@ -25,7 +25,7 @@ from wavewalk import (
     sample_disordered_lattice,
     uniform_lattice,
 )
-from wavewalk.ensembles import ROW_SUM_TOL, _dephasing_block_rows
+from wavewalk.ensembles import _BLOCK, ROW_SUM_TOL, _dephasing_block_rows
 
 
 BASE = uniform_lattice(99)
@@ -82,7 +82,7 @@ def test_single_clean_realization_equals_direct_evolution():
 
 
 def test_ensemble_equals_sequential_left_fold():
-    # the engine's block reduction must equal a plain in-order accumulation
+    # a disorder ensemble adds its realizations to the running sum in order
     grid = ZGrid(np.array([4.0, 11.0]))
     d = DisorderSpec(0.4, 0.0)
     policy = SeedPolicy(99)
@@ -98,6 +98,28 @@ def test_ensemble_equals_sequential_left_fold():
             acc += one(k)
         stats = run_ensemble(BASE, d, SingleSite(49), grid, n, 99)
         assert np.array_equal(stats.mean_intensity, acc / n)
+
+
+def test_dephasing_ensemble_sums_block_by_block():
+    # each block of _BLOCK histories is summed, then added to the running sum:
+    # at 130 histories (blocks of 64, 64, 2) that is not a left fold
+    lat = uniform_lattice(21)
+    h = build_hamiltonian(lat)
+    psi0 = make_initial_state(SingleSite(10), 21)
+    grid = ZGrid(np.array([0.5, 2.0]))
+    deph = DephasingSpec(0.5, 3.0)
+    n = 130
+    inten = _block(h, psi0, grid, deph, 8, 0, n)
+    by_block = np.zeros((2, 21))
+    for lo in range(0, n, _BLOCK):
+        for row in range(2):
+            by_block[row] += np.sum(inten[lo : lo + _BLOCK, row], axis=0)
+    left_fold = np.zeros((2, 21))
+    for k in range(n):
+        left_fold += inten[k]
+    stats = evolve_dephasing(lat, deph, SingleSite(10), grid, n, 8)
+    assert np.array_equal(stats.mean_intensity, by_block / n)
+    assert not np.array_equal(stats.mean_intensity, left_fold / n)
 
 
 def test_ensemble_reproducible_across_worker_counts(monkeypatch):
@@ -133,16 +155,6 @@ def test_ensemble_rejects_bad_inputs():
     grid = ZGrid(np.array([1.0]))
     with pytest.raises(ValueError):
         run_ensemble(BASE, DisorderSpec(0.1, 0.0), SingleSite(49), grid, 0, 1)
-    with pytest.raises(ValueError):
-        run_ensemble(BASE, DisorderSpec(0.1, 0.0), SingleSite(49), grid, 2, 1, method="magic")
-
-
-def test_ensemble_chebyshev_path_agrees_with_eigen():
-    grid = ZGrid(np.array([8.0]))
-    d = DisorderSpec(0.5, 0.0)
-    a = run_ensemble(BASE, d, SingleSite(49), grid, 16, 3, method="eigen")
-    b = run_ensemble(BASE, d, SingleSite(49), grid, 16, 3, method="chebyshev", tol=1e-12)
-    assert np.max(np.abs(a.mean_intensity - b.mean_intensity)) < 1e-10
 
 
 # --- dephasing --------------------------------------------------------------
