@@ -369,6 +369,11 @@ def load_config(raw: dict) -> ExperimentConfig:
                              ("diag_convention", "beta_as_given")):
             if lattice[key] != default:
                 _err(_join("lattice", key), "not read by experiment 'classical'")
+    # minus_degree_gamma sets the diagonal to -degree * mean coupling: betas are not read
+    minus_degree = lattice["diag_convention"] == "minus_degree_gamma"
+    unread = f"not read by experiment '{experiment}' under diag_convention 'minus_degree_gamma'"
+    if minus_degree and np.any(np.asarray(lattice["beta"]) != 0.0):
+        _err("lattice.beta", unread)
     if experiment == "boundary_sweep" and lattice["boundary"] != "open":
         _err("lattice.boundary", "boundary_sweep needs an open chain (a reflecting edge)")
 
@@ -377,6 +382,8 @@ def load_config(raw: dict) -> ExperimentConfig:
         if "disorder" not in raw:
             _err("disorder", "missing block required by the disorder experiment")
         block["disorder"] = _resolve_disorder(_as_dict(raw["disorder"], "disorder"))
+        if minus_degree and block["disorder"]["diag_strength"] > 0.0:
+            _err("disorder.diag_strength", unread)
         # the smallest coupling a realization can draw must stay a normal float
         w = block["disorder"]["offdiag_strength"]
         smallest = float(np.min(lattice["coupling"])) * (1.0 - w)
@@ -394,6 +401,16 @@ def load_config(raw: dict) -> ExperimentConfig:
     elif experiment == "classical":
         block["classical"] = _resolve_classical(_as_dict(raw.get("classical", {}), "classical"),
                                                 float(np.mean(lattice["coupling"])))
+
+    # a Gershgorin bound on |H| of every realization: the enclosure (twice as
+    # wide) and every phase lambda*z must stay finite
+    dis = block.get("disorder", {})
+    hop = 2.0 * float(np.max(lattice["coupling"])) * (1.0 + dis.get("offdiag_strength", 0.0))
+    site = hop if minus_degree else (float(np.max(np.abs(lattice["beta"])))
+                                     + 0.5 * dis.get("diag_strength", 0.0))
+    if not np.isfinite((site + hop) * max(2.0, zgrid["stop"])):
+        _err(_join("lattice", "beta" if site > hop else "coupling"), "the spectral bound "
+             "|beta| + 2*coupling, widened by disorder, times max(2, zgrid.stop) overflows")
 
     return ExperimentConfig(experiment=experiment, lattice=lattice, zgrid=zgrid,
                             output=output, **common, **block)

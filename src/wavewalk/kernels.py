@@ -1,8 +1,10 @@
 """Hot numerical kernels: tridiagonal matvec, Chebyshev recurrence, Bessel sequences, RK4.
 
-All kernels are vectorized numpy. The matvec and the Chebyshev recurrence act
-on the last axis, so a block of states (one per row, each with its own
-diagonal row) runs as one call and every row gives the bits of the 1-d call.
+All kernels are vectorized numpy, one algorithm each for every input (the
+Bessel sequence is Miller's recurrence at every x > 0). The matvec and the
+Chebyshev recurrence act on the last axis, so a block of states (one per row,
+each with its own diagonal row) runs as one call and every row gives the bits
+of the 1-d call.
 Callers look the kernels up through this module (``kernels.<name>``), so
 they can be swapped at runtime, for instance by a tracer.
 """
@@ -80,32 +82,13 @@ def rk4_evolve(diag, off, corner, psi0, z, n_steps):
 # r_n = 1 / (2n/x - r_{n+1}); the sequence is then rebuilt forward from
 # J_0, which is fixed by the identity J_0 + 2*sum_{k>=1} J_{2k} = 1.
 # Products of ratios keep full relative accuracy even deep in the
-# exponentially small tail. Small arguments use the power series instead.
+# exponentially small tail.
 # ---------------------------------------------------------------------------
 
 def bessel_j_sequence(x, nmax):
-    out = np.zeros(nmax + 1)
-    if x == 0.0:
-        out[0] = 1.0
-        return out
-    if x < 1.0:
-        # power series around x=0, a handful of terms suffices
-        q = 0.25 * x * x
-        # log(x) - log(2), not log(x/2): x/2 underflows to 0 for subnormal x
-        lhalf = math.log(x) - math.log(2.0)
-        for n in range(nmax + 1):
-            lead = n * lhalf - math.lgamma(n + 1.0)
-            if lead < -745.0:
-                break
-            term = math.exp(lead)
-            s = term
-            for k in range(1, 40):
-                term *= -q / (k * (n + k))
-                s += term
-                if abs(term) <= 1e-17 * abs(s):
-                    break
-            out[n] = s
-        return out
+    x = float(x)  # 2n/x overflows to inf without a numpy warning at subnormal x
+    if x == 0.0:  # J_n(0) = delta_n0; the recurrence divides by x
+        return np.eye(1, nmax + 1).ravel()
     # the normalization sum needs orders well past the turning point n ~ x
     n_top = max(nmax, int(x) + 40 + int(2.0 * math.sqrt(x)))
     m_start = n_top + 40 + int(2.0 * math.sqrt(n_top))
@@ -127,6 +110,4 @@ def bessel_j_sequence(x, nmax):
         f[n] = f[n - 1] * ratios[n]
         if n % 2 == 0:
             norm += 2.0 * f[n]
-    for n in range(nmax + 1):
-        out[n] = f[n] / norm
-    return out
+    return f[: nmax + 1] / norm

@@ -206,9 +206,6 @@ def evolve_chebyshev(
     a, b = int(support[0]), int(support[-1])
     states = np.zeros((len(zgrid), n), dtype=np.complex128)
     for i, z in enumerate(zgrid.values):
-        if z == 0.0:
-            states[i] = psi0.amps
-            continue
         coeffs = _chebyshev_coefficients(halfwidth * z, tol)
         k = coeffs.shape[0] - 1
         lo, hi, corner = max(0, a - k), min(n, b + k + 1), 0.0
@@ -236,8 +233,6 @@ def evolve_ode_oracle(
     radius = max(abs(emin), abs(emax))
     if dz_max <= 0.0 or dz_max * radius >= 1.0:
         raise ValueError("dz_max must satisfy dz_max * spectral_radius < 1")
-    if z == 0.0:
-        return WaveFunction(psi0.amps.copy())
     n_steps = max(1, int(np.ceil(z / dz_max)))
     amps = kernels.rk4_evolve(h.diag, h.offdiag, h.corner, psi0.amps, z, n_steps)
     # RK4 is not exactly unitary; admit the O(dz^4) norm drift

@@ -94,8 +94,16 @@ def test_run_json_round_trips(tmp_path, payload):
         ({**SMALL, "experiment": "ballistic", "n_realizations": 1000}, "n_realizations"),
         ({**SMALL, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
           "n_realizations": 4, "propagator": {"method": "chebyshev", "tol": 1e-4}}, "propagator"),
+        # minus_degree_gamma sets the diagonal from the couplings alone
+        ({**SMALL, "experiment": "disorder",
+          "lattice": {"n_sites": 41, "diag_convention": "minus_degree_gamma"},
+          "disorder": {"diag_strength": 5}, "n_realizations": 4}, "disorder.diag_strength"),
+        ({**SMALL, "experiment": "ballistic",
+          "lattice": {"n_sites": 5, "diag_convention": "minus_degree_gamma",
+                      "beta": [0.0, 1.0, 0.0, 0.0, 2.0]}}, "lattice.beta"),
     ],
-    ids=["dephasing", "boundary_sweep", "classical", "ballistic", "disorder"],
+    ids=["dephasing", "boundary_sweep", "classical", "ballistic", "disorder",
+         "disorder_minus_degree_diag_strength", "ballistic_minus_degree_beta"],
 )
 def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
     cfg = _write_cfg(tmp_path, "u.json", {**payload, "output": {"directory": str(tmp_path)}})
@@ -131,10 +139,33 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         ({**SMALL, "experiment": "disorder", "lattice": {"n_sites": 5, "coupling": 5e-324},
           "disorder": {"offdiag_strength": 0.999999}, "n_realizations": 4},
          2, "config error: lattice.coupling"),
+        # |beta| + 2 * coupling times max(2, zgrid.stop) overflows
+        ({**SMALL, "experiment": "ballistic", "lattice": {"n_sites": 5, "beta": 1e308}},
+         2, "config error: lattice.beta"),
+        ({**SMALL, "experiment": "ballistic", "lattice": {"n_sites": 5, "beta": -1e308},
+          "propagator": {"method": "chebyshev"}},
+         2, "config error: lattice.beta"),
+        ({**SMALL, "experiment": "boundary_sweep", "lattice": {"n_sites": 5, "beta": 1e308},
+          "sweep": {"input_max": 4}},
+         2, "config error: lattice.beta"),
+        ({**SMALL, "experiment": "ballistic", "lattice": {"n_sites": 5, "coupling": 1e308}},
+         2, "config error: lattice.coupling"),
+        ({**SMALL, "experiment": "ballistic",
+          "lattice": {"n_sites": 5, "coupling": 1e308, "diag_convention": "minus_degree_gamma"}},
+         2, "config error: lattice.coupling"),
+        ({**SMALL, "experiment": "disorder", "lattice": {"n_sites": 5, "coupling": 1e308},
+          "disorder": {"offdiag_strength": 0.5}, "n_realizations": 4},
+         2, "config error: lattice.coupling"),
+        ({**SMALL, "experiment": "disorder",
+          "lattice": {"n_sites": 5, "coupling": 1e308, "diag_convention": "minus_degree_gamma"},
+          "disorder": {"offdiag_strength": 0.5}, "n_realizations": 4},
+         2, "config error: lattice.coupling"),
     ],
     ids=["gaussian_width", "gaussian_off_site", "dephasing_strength", "ballistic_z",
          "gaussian_tilt", "collapsed_zgrid", "classical_huge_gamma_t",
-         "disorder_coupling_underflow"],
+         "disorder_coupling_underflow", "beta_overflow_eigen", "beta_overflow_chebyshev",
+         "beta_overflow_sweep", "coupling_overflow", "coupling_overflow_minus_degree",
+         "disorder_coupling_overflow", "disorder_coupling_overflow_minus_degree"],
 )
 def test_unrunnable_config_exits_with_a_message(tmp_path, capsys, payload, code, key):
     cfg = _write_cfg(tmp_path, "f.json", {**payload, "output": {"directory": str(tmp_path)}})
