@@ -1,10 +1,10 @@
 """Regenerate the golden boundary-sweep carpet used by the regression test.
 
 Runs the committed boundary-sweep config through the normal CLI runner (the
-boundary sweep always diagonalizes) and copies the resulting carpet.csv into
-tests/data/.  The test re-runs the same config and compares numerically, so
-the golden file pins the reflection-interference pattern, not a particular
-LAPACK's last bits.
+boundary sweep runs one light-cone Chebyshev block over all its inputs) and
+copies the resulting carpet.csv into tests/data/.  The test re-runs the same
+config and compares numerically, so the golden file pins the
+reflection-interference pattern, not a particular engine's last bits.
 """
 
 from __future__ import annotations

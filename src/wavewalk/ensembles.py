@@ -254,13 +254,22 @@ def _dephasing_block_rows(
     return block_rows
 
 
+# ceiling on the noise segments of one history, checked before the per-segment
+# grid lists are built; the committed dephasing runs use 80
+_MAX_SEGMENTS = 100_000
+
+
 def _n_segments(zmax: float, segment_length: float) -> int:
-    """Noise segments up to zmax, which must be a whole number of them (relative 1e-9)."""
+    """Noise segments up to zmax, which must be a whole number of them (relative
+    1e-9), and at most _MAX_SEGMENTS."""
     ratio = zmax / segment_length
     n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(n * segment_length - zmax) > 1e-9 * max(1.0, zmax):
         raise ValueError(f"zgrid.stop={zmax} is not a whole number of segments of "
                          f"length {segment_length}")
+    if n > _MAX_SEGMENTS:
+        raise ValueError(f"zgrid.stop={zmax} needs {n} segments of length {segment_length}, "
+                         f"above the ceiling of {_MAX_SEGMENTS}")
     return n
 
 

@@ -4,7 +4,8 @@
   (lattices here are small enough to diagonalize outright).
 * evolve_chebyshev — Chebyshev polynomial expansion of exp(-iHz) on the
   spectrum rescaled to [-1, 1]; the scalable path for ~10^4 sites (dephasing
-  blocks share its enclosure and step).
+  blocks share its enclosure and step, the boundary-sweep carpet also its
+  light-cone window).
 * evolve_ode_oracle — fixed-step RK4 on i dpsi/dz = H psi; slow, used as an
   independent cross-check in tests only.
 """
@@ -132,10 +133,11 @@ def _gershgorin(h: Hamiltonian) -> tuple[float, float, float]:
 def _chebyshev_enclosure(h: Hamiltonian, pad: float = 0.0) -> tuple[float, float]:
     """Centre and half-width of an interval holding the spectrum of every
     H + diag(u), |u_j| <= pad. The half-width is floored at the largest radius
-    plus pad, as exact arithmetic gives, so a huge uniform beta is a phase."""
+    plus pad, as exact arithmetic gives, so a huge uniform beta is a phase, and
+    at the smallest normal float, so that its inverse stays finite."""
     emin, emax, rmax = _gershgorin(h)
     emin, emax = emin - pad, emax + pad
-    return 0.5 * (emax + emin), max(0.5 * (emax - emin), rmax + pad)
+    return 0.5 * (emax + emin), max(0.5 * (emax - emin), rmax + pad, np.finfo(float).tiny)
 
 
 # Chebyshev coefficient tail: the default, and the loosest tol a run accepts
@@ -182,6 +184,24 @@ def _chebyshev_step(diag, offdiag, corner, center, halfwidth, coeffs, z, psi):
     return np.exp(-1j * center * z) * amps
 
 
+def _light_cone_step(h, center, halfwidth, coeffs, z, psi, a, b, out):
+    """Write exp(-iHz) psi into ``out`` for rows ``psi`` of n sites that vanish
+    outside sites a..b. A degree-K polynomial in the tridiagonal H moves
+    amplitude at most K sites, so the recurrence runs only on the window
+    [a - K, b + K], clipped at open-chain ends; on a ring, a window that would
+    wrap is the whole ring. ``out`` must be 0 outside the window, where the
+    state stays exactly 0; inside it the bits are those of the whole lattice."""
+    n = h.n_sites
+    k = coeffs.shape[0] - 1
+    lo, hi, corner = max(0, a - k), min(n, b + k + 1), 0.0
+    if h.corner != 0.0 and (a - k < 0 or b + k + 1 > n):
+        lo, hi, corner = 0, n, h.corner
+    out[..., lo:hi] = _chebyshev_step(
+        h.diag[lo:hi], h.offdiag[lo : hi - 1], corner, center, halfwidth, coeffs, z,
+        psi[..., lo:hi],
+    )
+
+
 def evolve_chebyshev(
     h: Hamiltonian,
     psi0: WaveFunction,
@@ -190,31 +210,20 @@ def evolve_chebyshev(
 ) -> Snapshots:
     """Chebyshev expansion of exp(-iHz) psi0 with certified coefficient tail < tol.
 
-    A degree-K polynomial in the tridiagonal H moves amplitude at most K
-    sites, so every site farther than K from the launch support stays exactly
-    0. The recurrence runs only on that light-cone window, with the whole
-    lattice's spectral scaling and coefficients: the same arithmetic as on
-    the whole lattice. The window is clipped at open-chain ends; on a ring,
-    a window that would wrap is the whole ring."""
+    The recurrence runs only on the light-cone window of the launch support
+    (``_light_cone_step``), with the whole lattice's spectral scaling and
+    coefficients: the same arithmetic as on the whole lattice."""
     if not 0.0 < tol <= _MAX_CHEBYSHEV_TOL:
         raise ValueError(f"tol must lie in (0, {_MAX_CHEBYSHEV_TOL:g}]")
     if psi0.n_sites != h.n_sites:
         raise ValueError("state size does not match Hamiltonian")
-    n = h.n_sites
     center, halfwidth = _chebyshev_enclosure(h)
     support = np.flatnonzero(psi0.amps)
     a, b = int(support[0]), int(support[-1])
-    states = np.zeros((len(zgrid), n), dtype=np.complex128)
+    states = np.zeros((len(zgrid), h.n_sites), dtype=np.complex128)
     for i, z in enumerate(zgrid.values):
         coeffs = _chebyshev_coefficients(halfwidth * z, tol)
-        k = coeffs.shape[0] - 1
-        lo, hi, corner = max(0, a - k), min(n, b + k + 1), 0.0
-        if h.corner != 0.0 and (a - k < 0 or b + k + 1 > n):  # the window wraps the ring
-            lo, hi, corner = 0, n, h.corner
-        states[i, lo:hi] = _chebyshev_step(
-            h.diag[lo:hi], h.offdiag[lo : hi - 1], corner, center, halfwidth, coeffs, z,
-            psi0.amps[lo:hi],
-        )
+        _light_cone_step(h, center, halfwidth, coeffs, z, psi0.amps, a, b, states[i])
     # the coefficient tail bounds the norm drift by about 10 * tol
     return Snapshots(
         zgrid=zgrid, amps=states, method="chebyshev", norm_tol=max(1e-9, 10.0 * tol)

@@ -10,9 +10,25 @@ import numpy as np
 import pytest
 
 import wavewalk
-from wavewalk import bessel_free_state, image_boundary_state, validate_config
+from wavewalk import (
+    SingleSite,
+    ZGrid,
+    bessel_free_state,
+    build_hamiltonian,
+    evolve_eigen,
+    image_boundary_state,
+    make_initial_state,
+    uniform_lattice,
+    validate_config,
+)
 from wavewalk.cli import _fmt, _write_matrix_csv, main
 from wavewalk.ensembles import ROW_SUM_TOL
+from wavewalk.propagators import (
+    _CHEBYSHEV_TOL,
+    _chebyshev_coefficients,
+    _chebyshev_enclosure,
+    _chebyshev_step,
+)
 
 
 def _read_csv(path):
@@ -160,17 +176,51 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
           "lattice": {"n_sites": 5, "coupling": 1e308, "diag_convention": "minus_degree_gamma"},
           "disorder": {"offdiag_strength": 0.5}, "n_realizations": 4},
          2, "config error: lattice.coupling"),
+        # a billion noise segments, refused before any per-segment list is built
+        ({"experiment": "dephasing", "lattice": {"n_sites": 9},
+          "zgrid": {"stop": 1000.0, "steps": 3},
+          "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}},
+         2, "config error: dephasing.segment_length"),
     ],
     ids=["gaussian_width", "gaussian_off_site", "dephasing_strength", "ballistic_z",
          "gaussian_tilt", "collapsed_zgrid", "classical_huge_gamma_t",
          "disorder_coupling_underflow", "beta_overflow_eigen", "beta_overflow_chebyshev",
          "beta_overflow_sweep", "coupling_overflow", "coupling_overflow_minus_degree",
-         "disorder_coupling_overflow", "disorder_coupling_overflow_minus_degree"],
+         "disorder_coupling_overflow", "disorder_coupling_overflow_minus_degree",
+         "dephasing_segment_ceiling"],
 )
 def test_unrunnable_config_exits_with_a_message(tmp_path, capsys, payload, code, key):
     cfg = _write_cfg(tmp_path, "f.json", {**payload, "output": {"directory": str(tmp_path)}})
     assert main(["simulate", str(cfg)]) == code
     assert key in capsys.readouterr().err
+
+
+SUBNORMAL = {"zgrid": {"stop": 2.0, "steps": 3}}
+
+
+@pytest.mark.parametrize("coupling", [5e-324, 1e-310], ids=["5e-324", "1e-310"])
+@pytest.mark.parametrize(
+    "payload,launch",
+    [
+        ({**SUBNORMAL, "experiment": "boundary_sweep", "sweep": {"input_min": 0, "input_max": 4}},
+         0),
+        ({**SUBNORMAL, "experiment": "ballistic", "propagator": {"method": "chebyshev"}}, 5),
+        ({**SUBNORMAL, "experiment": "dephasing", "n_realizations": 3,
+          "dephasing": {"segment_length": 0.5, "phase_strength": 5e-324}}, 5),
+    ],
+    ids=["boundary_sweep", "chebyshev", "dephasing"],
+)
+def test_subnormal_coupling_runs_stay_on_the_launch_site(tmp_path, payload, launch, coupling):
+    # the Chebyshev half-width is floored at the smallest normal float, so its
+    # inverse stays finite
+    cfg = _write_cfg(tmp_path, "s.json", {
+        **payload, "lattice": {"n_sites": 11, "coupling": coupling},
+        "output": {"directory": str(tmp_path)}})
+    assert main(["simulate", str(cfg)]) == 0
+    _, data = _read_csv(tmp_path / "intensity.csv")
+    expected = np.zeros((data.shape[0], 11))
+    expected[:, launch] = 1.0
+    assert np.max(np.abs(data[:, 1:] - expected)) <= 1e-12
 
 
 def test_huge_gaussian_width_launches_a_plane_wave(tmp_path):
@@ -289,6 +339,81 @@ def test_sweep_far_from_wall_is_symmetric(tmp_path):
     row = carpet[5, 1:]  # input site 200, dead center
     k = np.arange(1, 60)
     assert np.max(np.abs(row[200 + k] - row[200 - k])) < 1e-8
+
+
+def _run_sweep(tmp_path, name, n_sites, lo, hi, z, beta=0.0):
+    out = tmp_path / name
+    cfg = _write_cfg(tmp_path, f"{name}.json", {
+        "experiment": "boundary_sweep",
+        "lattice": {"n_sites": n_sites, "beta": beta},
+        "zgrid": {"stop": z, "steps": 5},
+        "sweep": {"input_min": lo, "input_max": hi},
+        "output": {"directory": str(out), "formats": ["csv"]},
+    })
+    assert main(["simulate", str(cfg)]) == 0
+    return out
+
+
+def _light_cone_order(n_sites, z):
+    _, halfwidth = _chebyshev_enclosure(build_hamiltonian(uniform_lattice(n_sites)))
+    return _chebyshev_coefficients(halfwidth * z, _CHEBYSHEV_TOL).shape[0] - 1
+
+
+# (n_sites, input_min, input_max, z): inputs on the wall; inputs farther than
+# the expansion order K from both ends; a chain short enough that the window
+# is clipped at the far end as well
+SWEEPS = {
+    "wall": (400, 0, 20, 8.0),
+    "interior": (400, 150, 170, 8.0),
+    "short_chain": (30, 0, 10, 8.0),
+}
+
+
+@pytest.mark.parametrize("case", list(SWEEPS), ids=list(SWEEPS))
+def test_sweep_carpet_equals_whole_lattice_block(tmp_path, case):
+    n, lo, hi, z = SWEEPS[case]
+    k = _light_cone_order(n, z)
+    window_lo, window_hi = lo - k, hi + k + 1
+    assert {"wall": window_lo < 0 < window_hi < n, "interior": 0 < window_lo < window_hi < n,
+            "short_chain": window_lo < 0 and window_hi > n}[case]
+    _, carpet = _read_csv(_run_sweep(tmp_path, case, n, lo, hi, z) / "carpet.csv")
+    h = build_hamiltonian(uniform_lattice(n))
+    center, halfwidth = _chebyshev_enclosure(h)
+    coeffs = _chebyshev_coefficients(halfwidth * z, _CHEBYSHEV_TOL)
+    amps = _chebyshev_step(h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, z,
+                           np.eye(hi - lo + 1, n, k=lo))
+    assert np.array_equal(carpet[:, 1:], amps.real ** 2 + amps.imag ** 2)
+    # and against the spectral reference, input by input
+    grid = ZGrid(np.array([z]))
+    ref = np.array([evolve_eigen(h, make_initial_state(SingleSite(j), n), grid).intensities()[0]
+                    for j in range(lo, hi + 1)])
+    assert np.max(np.abs(carpet[:, 1:] - ref)) <= 1e-12
+
+
+def test_sweep_rows_agree_with_eigen_and_are_exactly_zero_outside_the_light_cone(tmp_path):
+    n, lo, z = 400, 150, 8.0
+    out = _run_sweep(tmp_path, "rows", n, lo, 170, z)
+    lines = [l for l in (out / "intensity.csv").read_text().splitlines()
+             if not l.startswith("#")][1:]
+    _, data = _read_csv(out / "intensity.csv")
+    h = build_hamiltonian(uniform_lattice(n))
+    ref = evolve_eigen(h, make_initial_state(SingleSite(lo), n), ZGrid(data[:, 0])).intensities()
+    assert np.max(np.abs(data[:, 1:] - ref)) <= 1e-12
+    for line, zi in zip(lines, data[:, 0]):
+        k = _light_cone_order(n, zi)
+        fields = line.split(",")[1:]
+        outside = fields[: lo - k] + fields[lo + k + 1 :]
+        assert outside and set(outside) == {"0"}
+
+
+def test_sweep_under_a_huge_uniform_beta_is_the_beta_0_sweep(tmp_path):
+    # ulp(1e17) = 16 exceeds the band width; the expansion runs in the frame
+    # shifted by the enclosure centre, so beta is only a phase
+    runs = [_run_sweep(tmp_path, f"beta_{beta:g}", 41, 0, 10, 8.0, beta=beta)
+            for beta in (0.0, 1e17)]
+    for name in ("carpet.csv", "intensity.csv"):
+        (_, a), (_, b) = (_read_csv(run / name) for run in runs)
+        assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_formats_control_outputs(tmp_path):

@@ -197,6 +197,9 @@ def test_unknown_keys_rejected_with_path(mutate, needle):
         # disorder can draw a coupling that underflows to 0
         {"experiment": "disorder", "lattice": {"n_sites": 5, "coupling": 5e-324},
          "zgrid": {"stop": 1.0}, "disorder": {"offdiag_strength": 0.999999}},
+        # a billion noise segments: above the segment ceiling
+        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1000.0},
+         "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}},
     ],
 )
 def test_invalid_configs_rejected(raw):
