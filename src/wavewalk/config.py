@@ -26,7 +26,12 @@ from .lattice import (
     TwoSite,
     _gaussian_envelope,
 )
-from .propagators import _CHEBYSHEV_TOL, _MAX_CHEBYSHEV_TOL, ZGrid
+from .propagators import (
+    _CHEBYSHEV_TOL,
+    _MAX_CHEBYSHEV_TOL,
+    ZGrid,
+    _chebyshev_work,
+)
 
 
 class ConfigError(ValueError):
@@ -337,6 +342,43 @@ class ExperimentConfig:
         return out
 
 
+# budget on the Chebyshev work of a ballistic or boundary-sweep run, in site
+# updates (_chebyshev_work): 6-8 s at the 12-16 ns each measured on 2 cores;
+# the committed configs and benchmark workloads stay below 1.3e7
+_MAX_WORK = 500_000_000
+
+
+def _check_chebyshev_work(experiment, lattice, initial_state, zgrid, sweep, hop,
+                          minus_degree) -> None:
+    """Refuse a Chebyshev run whose estimated work is above _MAX_WORK, before
+    anything is allocated. The enclosure half-width is at most half the
+    spread of the diagonal plus the largest disc radius, itself at most
+    ``hop``."""
+    n, periodic = lattice["n_sites"], lattice["boundary"] == "periodic"
+    spread = (float(np.mean(lattice["coupling"])) if minus_degree
+              else float(np.ptp(lattice["beta"])))
+    halfwidth = 0.5 * spread + hop
+    zvals = _zgrid(zgrid).values
+    if experiment == "boundary_sweep":
+        # one carpet block of every input at zgrid.stop, then the first input
+        # over the whole grid
+        lo, hi = sweep["input_min"], sweep["input_max"]
+        work = (_chebyshev_work(n, False, lo, hi, hi - lo + 1, halfwidth, zvals[-1:], _MAX_WORK)
+                + _chebyshev_work(n, False, lo, lo, 1, halfwidth, zvals, _MAX_WORK))
+    else:
+        if initial_state["kind"] == "single_site":
+            a = b = initial_state["site"]
+        elif initial_state["kind"] == "two_site":
+            a, b = sorted(initial_state["sites"])
+        else:  # a Gaussian launch may reach every site
+            a, b = 0, n - 1
+        work = _chebyshev_work(n, periodic, a, b, 1, halfwidth, zvals, _MAX_WORK)
+    if work > _MAX_WORK:
+        _err(_join("zgrid", "stop"),
+             f"{zgrid['stop']!r} with {zgrid['steps']} steps needs Chebyshev work above "
+             f"the budget of {_MAX_WORK:.0e} site updates")
+
+
 def load_config(raw: dict) -> ExperimentConfig:
     """Validate a raw config dict, fill defaults, and resolve it."""
     raw = _as_dict(raw, "config")
@@ -411,6 +453,11 @@ def load_config(raw: dict) -> ExperimentConfig:
     if not np.isfinite((site + hop) * max(2.0, zgrid["stop"])):
         _err(_join("lattice", "beta" if site > hop else "coupling"), "the spectral bound "
              "|beta| + 2*coupling, widened by disorder, times max(2, zgrid.stop) overflows")
+    chebyshev = experiment == "boundary_sweep" or (
+        experiment == "ballistic" and common["propagator"]["method"] == "chebyshev")
+    if chebyshev:
+        _check_chebyshev_work(experiment, lattice, common["initial_state"], zgrid,
+                              block.get("sweep"), hop, minus_degree)
 
     return ExperimentConfig(experiment=experiment, lattice=lattice, zgrid=zgrid,
                             output=output, **common, **block)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ive
 
 from . import kernels
 from .errors import WindowTooSmallError
@@ -113,6 +112,9 @@ def classical_ctrw_distribution(
     truncated to the window (no renormalization; refuses if the neglected
     boundary mass exceeds 1e-10).
     """
+    # imported here, so that runs that need no classical walk never load scipy
+    from scipy.special import ive
+
     _check_source(j0, gamma, t, n_sites)
     dist = np.abs(np.arange(n_sites) - j0)
     probs = ive(dist, 2.0 * gamma * t)  # ive(n, x) = exp(-x) I_n(x), exactly our form

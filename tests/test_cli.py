@@ -21,14 +21,18 @@ from wavewalk import (
     uniform_lattice,
     validate_config,
 )
-from wavewalk.cli import _fmt, _write_matrix_csv, main
+from wavewalk import config, kernels
+from wavewalk.cli import _fmt, _write_matrix_csv, main, run_experiment
 from wavewalk.ensembles import ROW_SUM_TOL
 from wavewalk.propagators import (
     _CHEBYSHEV_TOL,
+    _STEP_SITES,
     _chebyshev_coefficients,
     _chebyshev_enclosure,
     _chebyshev_step,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _read_csv(path):
@@ -139,9 +143,10 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         ({**SMALL, "experiment": "dephasing", "n_realizations": 2,
           "dephasing": {"segment_length": 0.5, "phase_strength": 1e300}},
          3, "numerical failure: halfwidth*z"),
+        # refused by the Chebyshev work budget before the order ceiling is met
         ({**SMALL, "experiment": "ballistic", "zgrid": {"stop": 1e300, "steps": 2},
           "propagator": {"method": "chebyshev"}},
-         3, "numerical failure: halfwidth*z"),
+         2, "config error: zgrid.stop"),
         ({**SMALL, "experiment": "ballistic",
           "initial_state": {"kind": "gaussian", "center": 10, "width": 2, "tilt": 1e308}},
          2, "config error: initial_state.tilt"),
@@ -181,13 +186,21 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
           "zgrid": {"stop": 1000.0, "steps": 3},
           "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}},
          2, "config error: dephasing.segment_length"),
+        # Chebyshev work above the budget: 8e5 terms on 3 sites, and a sweep
+        # whose work grows tenfold with each tenfold in z
+        ({"experiment": "ballistic", "lattice": {"n_sites": 3},
+          "zgrid": {"stop": 4e5, "steps": 2}, "propagator": {"method": "chebyshev"}},
+         2, "config error: zgrid.stop"),
+        ({"experiment": "boundary_sweep", "lattice": {"n_sites": 400},
+          "zgrid": {"stop": 1e4, "steps": 81}},
+         2, "config error: zgrid.stop"),
     ],
     ids=["gaussian_width", "gaussian_off_site", "dephasing_strength", "ballistic_z",
          "gaussian_tilt", "collapsed_zgrid", "classical_huge_gamma_t",
          "disorder_coupling_underflow", "beta_overflow_eigen", "beta_overflow_chebyshev",
          "beta_overflow_sweep", "coupling_overflow", "coupling_overflow_minus_degree",
          "disorder_coupling_overflow", "disorder_coupling_overflow_minus_degree",
-         "dephasing_segment_ceiling"],
+         "dephasing_segment_ceiling", "chebyshev_work_budget", "sweep_work_budget"],
 )
 def test_unrunnable_config_exits_with_a_message(tmp_path, capsys, payload, code, key):
     cfg = _write_cfg(tmp_path, "f.json", {**payload, "output": {"directory": str(tmp_path)}})
@@ -427,6 +440,16 @@ def test_formats_control_outputs(tmp_path):
     assert not (out / "intensity.csv").exists()
 
 
+def _fresh_python(*args, **env) -> subprocess.CompletedProcess:
+    """Run a new interpreter with ``args`` and the extra ``env``, importing
+    wavewalk from this checkout."""
+    src = str(Path(wavewalk.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=pythonpath, **env),
+                          capture_output=True, text=True)
+
+
 def test_workers_variable_is_ignored(tmp_path):
     # WAVEWALK_WORKERS is a no-op: even a value that is not a number runs cleanly
     out = tmp_path / "out"
@@ -441,14 +464,92 @@ def test_workers_variable_is_ignored(tmp_path):
             "output": {"directory": str(out), "formats": ["csv"]},
         },
     )
-    src = str(Path(wavewalk.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, WAVEWALK_WORKERS="abc", PYTHONPATH=pythonpath)
-    run = subprocess.run([sys.executable, "-m", "wavewalk", "simulate", str(cfg)],
-                         env=env, capture_output=True, text=True)
+    run = _fresh_python("-m", "wavewalk", "simulate", cfg, WAVEWALK_WORKERS="abc")
     assert run.returncode == 0, run.stderr
     assert "Traceback" not in run.stderr
     assert (out / "intensity.csv").is_file()
+
+
+@pytest.mark.parametrize("payload", [
+    {"experiment": "ballistic", "lattice": {"n_sites": 301}, "zgrid": {"stop": 20.0, "steps": 5},
+     "initial_state": {"kind": "two_site", "sites": [104, 100]},
+     "propagator": {"method": "chebyshev"}},
+    {"experiment": "ballistic", "zgrid": {"stop": 6.0, "steps": 4},
+     "lattice": {"n_sites": 40, "boundary": "periodic", "coupling": [1.0] * 40},
+     "initial_state": {"kind": "single_site", "site": 3}, "propagator": {"method": "chebyshev"}},
+    {"experiment": "boundary_sweep", "lattice": {"n_sites": 200}, "zgrid": {"stop": 8.0, "steps": 9},
+     "sweep": {"input_min": 2, "input_max": 12}},
+], ids=["two_site", "ring", "boundary_sweep"])
+def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
+    # the loader takes every expansion at its order ceiling, so its estimate
+    # bounds the site updates the run performs, here within a factor of 10
+    cfg = config.load_config(payload)
+    done = []
+    apply = kernels.chebyshev_apply
+
+    def counting(diag, off, corner, center, halfwidth, coeffs, psi):
+        done.append((coeffs.shape[0] - 1) * (psi.size + _STEP_SITES))
+        return apply(diag, off, corner, center, halfwidth, coeffs, psi)
+
+    monkeypatch.setattr(kernels, "chebyshev_apply", counting)
+    run_experiment(cfg, output_dir=str(tmp_path))
+    monkeypatch.setattr(config, "_MAX_WORK", sum(done) - 1)
+    with pytest.raises(config.ConfigError, match="zgrid.stop"):
+        config.load_config(payload)
+    monkeypatch.setattr(config, "_MAX_WORK", 10 * sum(done))
+    config.load_config(payload)
+
+
+_SCIPY_LOADED = """
+import sys
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # only decompose and classical_ctrw_distribution import scipy, on first call
+    code = _SCIPY_LOADED + """
+from pathlib import Path
+import wavewalk
+from wavewalk.cli import main
+
+configs, out = Path(sys.argv[1]), Path(sys.argv[2])
+for path in sorted(configs.glob("*.json")):
+    wavewalk.validate_config(path)
+    assert not scipy_loaded(), ("validate", path.name, scipy_loaded())
+for name in ("stress_n10000", "dephasing", "boundary_sweep"):
+    assert main(["simulate", str(configs / f"{name}.json"), "--output-dir", str(out / name)]) == 0
+    assert not scipy_loaded(), ("simulate", name, scipy_loaded())
+for which in ("bessel", "images"):
+    assert main(["oracle", which, "--j0", "20", "--z", "1.0", "--n-sites", "41"]) == 0
+    assert not scipy_loaded(), ("oracle", which, scipy_loaded())
+"""
+    run = _fresh_python("-c", code, CONFIGS, tmp_path)
+    assert run.returncode == 0, run.stderr
+    assert len(list(tmp_path.iterdir())) == 3
+
+
+def test_deferred_scipy_imports_resolve(tmp_path):
+    code = _SCIPY_LOADED + """
+from wavewalk.cli import main
+
+for path, module in zip(sys.argv[1:], ("scipy.linalg", "scipy.special")):
+    assert module not in scipy_loaded()
+    assert main(["simulate", path]) == 0
+    assert module in scipy_loaded(), (path, scipy_loaded())
+"""
+    small = {"lattice": {"n_sites": 41}, "zgrid": {"stop": 2.0, "steps": 3}}
+    disorder = _write_cfg(tmp_path, "d.json", {
+        **small, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
+        "n_realizations": 4, "output": {"directory": str(tmp_path / "d")}})
+    classical = _write_cfg(tmp_path, "c.json", {
+        **small, "experiment": "classical", "output": {"directory": str(tmp_path / "c")}})
+    run = _fresh_python("-c", code, disorder, classical)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "d" / "intensity.csv").is_file()
+    assert (tmp_path / "c" / "intensity.csv").is_file()
 
 
 def test_config_error_exit_code(tmp_path, capsys):

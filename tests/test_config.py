@@ -200,6 +200,13 @@ def test_unknown_keys_rejected_with_path(mutate, needle):
         # a billion noise segments: above the segment ceiling
         {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1000.0},
          "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}},
+        # Chebyshev work above the budget
+        {"experiment": "ballistic", "lattice": {"n_sites": 3}, "zgrid": {"stop": 4e5, "steps": 2},
+         "propagator": {"method": "chebyshev"}},
+        {"experiment": "boundary_sweep", "lattice": {"n_sites": 400},
+         "zgrid": {"stop": 1e4, "steps": 81}},
+        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0, "steps": 10**5},
+         "propagator": {"method": "chebyshev"}},
     ],
 )
 def test_invalid_configs_rejected(raw):

@@ -195,6 +195,23 @@ def test_dephasing_with_a_huge_uniform_beta_runs():
     assert np.max(stats[0].sem_intensity) > 1e-3  # the noise is really there
 
 
+def test_dephasing_control_with_a_huge_uniform_beta_is_a_phase():
+    # phase_strength = 0 runs evolve_eigen, which diagonalizes in the centred frame
+    grid = ZGrid(np.linspace(0.0, 2.0, 5))
+    stats = [evolve_dephasing(LatticeSpec(21, np.ones(20), np.full(21, beta)),
+                              DephasingSpec(0.5, 0.0), SingleSite(10), grid, 3, 1)
+             for beta in (0.0, 1e17)]
+    assert np.max(np.abs(stats[1].mean_intensity - stats[0].mean_intensity)) <= 1e-14
+
+
+def test_offdiag_disorder_with_a_huge_uniform_beta_is_a_phase():
+    grid = ZGrid(np.linspace(0.0, 5.0, 6))
+    stats = [run_ensemble(LatticeSpec(21, np.ones(20), np.full(21, beta)), DisorderSpec(0.5, 0.0),
+                          SingleSite(10), grid, 8, 7) for beta in (0.0, 1e17)]
+    assert np.max(np.abs(stats[1].mean_intensity - stats[0].mean_intensity)) <= 1e-14
+    assert np.max(stats[0].sem_intensity) > 1e-3  # the disorder is really there
+
+
 def _block(h, psi0, grid, deph, seed, k_lo, k_hi):
     """Intensities (history, z, site) of histories k_lo..k_hi-1, propagated as one block."""
     n_segments = int(round(grid.values[-1] / deph.segment_length))

@@ -74,7 +74,7 @@ def test_decompose_uniform_chain_closed_form():
 def test_decompose_invariants():
     h = build_hamiltonian(_random_spec(60, 3))
     dec = decompose(h)
-    v, lam = dec.eigenvectors, dec.eigenvalues
+    v, lam = dec.eigenvectors, dec.eigenvalues + dec.center
     assert np.all(np.diff(lam) >= 0)
     assert np.max(np.abs(h.dense() @ v - v * lam)) < 1e-10 * np.max(np.abs(lam))
     assert np.max(np.abs(v.T @ v - np.eye(60))) < 1e-10
@@ -88,6 +88,38 @@ def test_decompose_periodic_uses_corner():
     # ring spectrum: 2C cos(2 pi k / N)
     expected = np.sort(2.0 * np.cos(2.0 * np.pi * np.arange(6) / 6.0))
     assert np.max(np.abs(dec.eigenvalues - expected)) < 1e-12
+
+
+def _uniform_chain(n, beta, boundary):
+    n_bonds = n if boundary is Boundary.PERIODIC else n - 1
+    return build_hamiltonian(LatticeSpec(n, np.ones(n_bonds), np.full(n, beta), boundary))
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+@pytest.mark.parametrize("beta", [0.0, 1e17])
+def test_centred_decomposition_rebuilds_h(beta, boundary):
+    # V diag(lambda) V^T is H - center; the band width is 4 for unit couplings
+    h = _uniform_chain(21, beta, boundary)
+    dec = decompose(h)
+    assert dec.center == beta
+    v = dec.eigenvectors
+    rebuilt = (v * dec.eigenvalues) @ v.T + dec.center * np.eye(21)
+    assert np.max(np.abs(rebuilt - h.dense())) <= 1e-12 * 4.0
+
+
+@pytest.mark.parametrize("h", [
+    build_hamiltonian(uniform_lattice(30)),
+    build_hamiltonian(uniform_lattice(30, boundary=Boundary.PERIODIC)),
+    # off-diagonal disorder: the Gershgorin edges are symmetric about 0
+    build_hamiltonian(LatticeSpec(30, np.random.default_rng(5).uniform(0.5, 1.5, 29), 0.0)),
+], ids=["open", "ring", "offdiag_disorder"])
+def test_uncentred_decomposition_keeps_its_bits(h):
+    from scipy.linalg import eigh_tridiagonal
+
+    dec = decompose(h)
+    assert dec.center == 0.0
+    w, v = np.linalg.eigh(h.dense()) if h.is_periodic else eigh_tridiagonal(h.diag, h.offdiag)
+    assert np.array_equal(dec.eigenvalues, w) and np.array_equal(dec.eigenvectors, v)
 
 
 # --- evolve_eigen ------------------------------------------------------------
@@ -127,8 +159,20 @@ def test_eigen_real_products_match_complex_products():
     dec = decompose(h)
     v = dec.eigenvectors.astype(np.complex128)
     ref = (np.exp(-1j * np.outer(grid.values, dec.eigenvalues)) * (v.T @ psi0.amps)) @ v.T
+    ref *= np.exp(-1j * dec.center * grid.values)[:, None]
     snap = evolve_eigen(h, psi0, grid, decomp=dec)
     assert np.max(np.abs(snap.amps - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+def test_eigen_with_a_huge_uniform_beta_is_a_phase(boundary):
+    # ulp(1e17) = 16 exceeds the band width; outside the centred frame the
+    # eigenvectors were arbitrary and the intensities off by up to 0.99
+    grid = ZGrid(np.linspace(0.0, 5.0, 11))
+    psi0 = make_initial_state(SingleSite(10), 21)
+    a, b = (evolve_eigen(_uniform_chain(21, beta, boundary), psi0, grid).intensities()
+            for beta in (0.0, 1e17))
+    assert np.max(np.abs(a - b)) <= 1e-14
 
 
 def test_eigen_dimension_mismatch():
@@ -149,7 +193,8 @@ def test_bounds_with_diagonal_disorder():
     spec = _random_spec(80, 5, diag_w=4.0)
     h = build_hamiltonian(spec)
     emin, emax = spectral_bounds(h)
-    lam = decompose(h).eigenvalues
+    dec = decompose(h)
+    lam = dec.eigenvalues + dec.center
     assert emin <= lam[0] and lam[-1] <= emax
 
 
