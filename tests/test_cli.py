@@ -140,9 +140,10 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         ({**SMALL, "experiment": "ballistic",
           "initial_state": {"kind": "gaussian", "center": 10.5, "width": 0.01}},
          2, "config error: initial_state.width"),
+        # refused by the Chebyshev work budget, which the noise widens
         ({**SMALL, "experiment": "dephasing", "n_realizations": 2,
           "dephasing": {"segment_length": 0.5, "phase_strength": 1e300}},
-         3, "numerical failure: halfwidth*z"),
+         2, "config error: zgrid.stop"),
         # refused by the Chebyshev work budget before the order ceiling is met
         ({**SMALL, "experiment": "ballistic", "zgrid": {"stop": 1e300, "steps": 2},
           "propagator": {"method": "chebyshev"}},
@@ -194,13 +195,30 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         ({"experiment": "boundary_sweep", "lattice": {"n_sites": 400},
           "zgrid": {"stop": 1e4, "steps": 81}},
          2, "config error: zgrid.stop"),
+        # 80 GB of z values, refused before the grid is built
+        ({**SMALL, "experiment": "ballistic", "zgrid": {"stop": 1.0, "steps": 10**10}},
+         2, "config error: zgrid.steps"),
+        # dephasing work above the budget: unbudgeted, each runs past 5 s,
+        # the first about 10 s on 2 cores
+        ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 1.0, "steps": 3},
+          "dephasing": {"segment_length": 0.5, "phase_strength": 1e6}, "n_realizations": 3},
+         2, "config error: zgrid.stop"),
+        ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 1e6},
+          "dephasing": {"segment_length": 31250.0, "phase_strength": 1.0}, "n_realizations": 3},
+         2, "config error: zgrid.stop"),
+        # the noise widens the spectral bound past the largest float
+        ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 10.0, "steps": 3},
+          "dephasing": {"segment_length": 10.0, "phase_strength": 1e308}, "n_realizations": 3},
+         2, "config error: dephasing.phase_strength"),
     ],
     ids=["gaussian_width", "gaussian_off_site", "dephasing_strength", "ballistic_z",
          "gaussian_tilt", "collapsed_zgrid", "classical_huge_gamma_t",
          "disorder_coupling_underflow", "beta_overflow_eigen", "beta_overflow_chebyshev",
          "beta_overflow_sweep", "coupling_overflow", "coupling_overflow_minus_degree",
          "disorder_coupling_overflow", "disorder_coupling_overflow_minus_degree",
-         "dephasing_segment_ceiling", "chebyshev_work_budget", "sweep_work_budget"],
+         "dephasing_segment_ceiling", "chebyshev_work_budget", "sweep_work_budget",
+         "zgrid_steps_ceiling", "dephasing_work_budget_strength", "dephasing_work_budget_z",
+         "dephasing_strength_overflow"],
 )
 def test_unrunnable_config_exits_with_a_message(tmp_path, capsys, payload, code, key):
     cfg = _write_cfg(tmp_path, "f.json", {**payload, "output": {"directory": str(tmp_path)}})
@@ -479,10 +497,19 @@ def test_workers_variable_is_ignored(tmp_path):
      "initial_state": {"kind": "single_site", "site": 3}, "propagator": {"method": "chebyshev"}},
     {"experiment": "boundary_sweep", "lattice": {"n_sites": 200}, "zgrid": {"stop": 8.0, "steps": 9},
      "sweep": {"input_min": 2, "input_max": 12}},
-], ids=["two_site", "ring", "boundary_sweep"])
+    # two blocks of histories, the second partly filled
+    {"experiment": "dephasing", "lattice": {"n_sites": 21}, "zgrid": {"stop": 2.0, "steps": 7},
+     "dephasing": {"segment_length": 0.5, "phase_strength": 4.0}, "n_realizations": 70},
+    {"experiment": "dephasing", "lattice": {"n_sites": 41, "boundary": "periodic"},
+     "zgrid": {"stop": 3.0, "steps": 5},
+     "dephasing": {"segment_length": 0.75, "phase_strength": 2.0}, "n_realizations": 5},
+], ids=["two_site", "ring", "boundary_sweep", "dephasing", "dephasing_ring"])
 def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     # the loader takes every expansion at its order ceiling, so its estimate
-    # bounds the site updates the run performs, here within a factor of 10
+    # bounds the site updates the run performs, here within a factor of 10;
+    # 20 for dephasing, whose estimate also takes one expansion per grid point
+    # and every block of histories full
+    factor = 20 if payload["experiment"] == "dephasing" else 10
     cfg = config.load_config(payload)
     done = []
     apply = kernels.chebyshev_apply
@@ -496,7 +523,7 @@ def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     monkeypatch.setattr(config, "_MAX_WORK", sum(done) - 1)
     with pytest.raises(config.ConfigError, match="zgrid.stop"):
         config.load_config(payload)
-    monkeypatch.setattr(config, "_MAX_WORK", 10 * sum(done))
+    monkeypatch.setattr(config, "_MAX_WORK", factor * sum(done))
     config.load_config(payload)
 
 

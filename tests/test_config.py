@@ -1,12 +1,16 @@
 """Config schema: defaults, strict keys, idempotent resolution."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavewalk import ConfigError, load_config, make_initial_state, validate_config
-from wavewalk.config import READS
+from wavewalk.config import _REQUIRED, _SCHEMA, READS
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 MINIMAL_BALLISTIC = {
@@ -127,90 +131,114 @@ def test_unknown_keys_rejected_with_path(mutate, needle):
         load_config(raw)
 
 
-@pytest.mark.parametrize(
-    "raw",
-    [
-        {},
-        {"experiment": "ballistic"},
-        {"experiment": "ballistic", "lattice": {"n_sites": 101}},
-        {"experiment": "warp", "lattice": {"n_sites": 5}, "zgrid": {"stop": 1.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 1}, "zgrid": {"stop": 1.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9, "coupling": -1.0}, "zgrid": {"stop": 1.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9, "coupling": [1.0, 1.0]}, "zgrid": {"stop": 1.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 0.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0, "steps": 0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0, "start": -1.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "initial_state": {"kind": "single_site", "site": 9}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "initial_state": {"kind": "two_site", "sites": [4, 4]}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "initial_state": {"kind": "gaussian", "width": 0.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "propagator": {"method": "lanczos"}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "propagator": {"tol": 1e-3}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "n_realizations": 0},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "master_seed": -1},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "output": {"formats": ["csv", "hdf5"]}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "disorder": {"offdiag_strength": 0.5}},
-        {"experiment": "boundary_sweep", "lattice": {"n_sites": 9, "boundary": "periodic",
-         "coupling": [1.0] * 9}, "zgrid": {"stop": 1.0}},
-        {"experiment": "boundary_sweep", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "sweep": {"input_min": 5, "input_max": 3}},
-        {"experiment": "boundary_sweep", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "sweep": {"input_max": 9}},
-        {"experiment": "classical", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "initial_state": {"kind": "two_site", "sites": [3, 4]}},
-        {"experiment": "classical", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "classical": {"gamma": 0.0}},
-        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0}},
-        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "dephasing": {"segment_length": 0.3, "phase_strength": 1.0}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "n_realizations": True},
-        # keys the experiment does not read, at values other than the default
-        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "dephasing": {"segment_length": 0.5, "phase_strength": 1.0},
-         "propagator": {"method": "chebyshev", "tol": 1e-4}},
-        {"experiment": "boundary_sweep", "lattice": {"n_sites": 60}, "zgrid": {"stop": 1.0},
-         "initial_state": {"kind": "gaussian", "center": 30, "width": 2}},
-        {"experiment": "classical", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "master_seed": 3},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "n_realizations": 1000},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
-         "propagator": {"method": "eigen", "tol": 1e-6}},
-        {"experiment": "classical", "lattice": {"n_sites": 9, "beta": 0.5},
-         "zgrid": {"stop": 1.0}},
-        {"experiment": "classical", "lattice": {"n_sites": 9, "diag_convention":
-         "minus_degree_gamma"}, "zgrid": {"stop": 1.0}},
-        {"experiment": "classical", "lattice": {"n_sites": 9, "boundary": "periodic"},
-         "zgrid": {"stop": 1.0}},
-        # zgrid.stop / segment_length overflows
-        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1e300},
-         "dephasing": {"segment_length": 1e-300, "phase_strength": 1.0}},
-        # disorder can draw a coupling that underflows to 0
-        {"experiment": "disorder", "lattice": {"n_sites": 5, "coupling": 5e-324},
-         "zgrid": {"stop": 1.0}, "disorder": {"offdiag_strength": 0.999999}},
-        # a billion noise segments: above the segment ceiling
-        {"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1000.0},
-         "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}},
-        # Chebyshev work above the budget
-        {"experiment": "ballistic", "lattice": {"n_sites": 3}, "zgrid": {"stop": 4e5, "steps": 2},
-         "propagator": {"method": "chebyshev"}},
-        {"experiment": "boundary_sweep", "lattice": {"n_sites": 400},
-         "zgrid": {"stop": 1e4, "steps": 81}},
-        {"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0, "steps": 10**5},
-         "propagator": {"method": "chebyshev"}},
-    ],
-)
-def test_invalid_configs_rejected(raw):
-    with pytest.raises(ConfigError):
+# each invalid config and the key path its ConfigError names
+INVALID = [
+    ({}, "experiment"),
+    ({"experiment": "ballistic"}, "lattice"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 101}}, "zgrid"),
+    ({"experiment": "warp", "lattice": {"n_sites": 5}, "zgrid": {"stop": 1.0}}, "experiment"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 1}, "zgrid": {"stop": 1.0}},
+     "lattice.n_sites"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9, "coupling": -1.0}, "zgrid": {"stop": 1.0}},
+     "lattice.coupling"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9, "coupling": [1.0, 1.0]}, "zgrid": {"stop": 1.0}},
+     "lattice.coupling"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 0.0}}, "zgrid.stop"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0, "steps": 0}},
+     "zgrid.steps"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0, "start": -1.0}},
+     "zgrid.start"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "initial_state": {"kind": "single_site", "site": 9}}, "initial_state.site"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "initial_state": {"kind": "two_site", "sites": [4, 4]}}, "initial_state.sites"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "initial_state": {"kind": "gaussian", "width": 0.0}}, "initial_state.width"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "propagator": {"method": "lanczos"}}, "propagator.method"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "propagator": {"tol": 1e-3}}, "propagator.tol"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "n_realizations": 0}, "n_realizations"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "master_seed": -1}, "master_seed"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "output": {"formats": ["csv", "hdf5"]}}, "output.formats[1]"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "disorder": {"offdiag_strength": 0.5}}, "disorder"),
+    ({"experiment": "boundary_sweep", "lattice": {"n_sites": 9, "boundary": "periodic",
+     "coupling": [1.0] * 9}, "zgrid": {"stop": 1.0}}, "lattice.boundary"),
+    ({"experiment": "boundary_sweep", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "sweep": {"input_min": 5, "input_max": 3}}, "sweep.input_max"),
+    ({"experiment": "boundary_sweep", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "sweep": {"input_max": 9}}, "sweep.input_max"),
+    ({"experiment": "classical", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "initial_state": {"kind": "two_site", "sites": [3, 4]}}, "initial_state.kind"),
+    ({"experiment": "classical", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "classical": {"gamma": 0.0}}, "classical.gamma"),
+    ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0}}, "dephasing"),
+    ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "dephasing": {"segment_length": 0.3, "phase_strength": 1.0}}, "dephasing.segment_length"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "n_realizations": True}, "n_realizations"),
+    # keys the experiment does not read, at values other than the default
+    ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "dephasing": {"segment_length": 0.5, "phase_strength": 1.0},
+     "propagator": {"method": "chebyshev", "tol": 1e-4}}, "propagator"),
+    ({"experiment": "boundary_sweep", "lattice": {"n_sites": 60}, "zgrid": {"stop": 1.0},
+     "initial_state": {"kind": "gaussian", "center": 30, "width": 2}}, "initial_state"),
+    ({"experiment": "classical", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "master_seed": 3}, "master_seed"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "n_realizations": 1000}, "n_realizations"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "propagator": {"method": "eigen", "tol": 1e-6}}, "propagator.tol"),
+    ({"experiment": "classical", "lattice": {"n_sites": 9, "beta": 0.5},
+     "zgrid": {"stop": 1.0}}, "lattice.beta"),
+    ({"experiment": "classical", "lattice": {"n_sites": 9, "diag_convention":
+     "minus_degree_gamma"}, "zgrid": {"stop": 1.0}}, "lattice.diag_convention"),
+    ({"experiment": "classical", "lattice": {"n_sites": 9, "boundary": "periodic"},
+     "zgrid": {"stop": 1.0}}, "lattice.boundary"),
+    # zgrid.stop / segment_length overflows
+    ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1e300},
+     "dephasing": {"segment_length": 1e-300, "phase_strength": 1.0}}, "dephasing.segment_length"),
+    # disorder can draw a coupling that underflows to 0
+    ({"experiment": "disorder", "lattice": {"n_sites": 5, "coupling": 5e-324},
+     "zgrid": {"stop": 1.0}, "disorder": {"offdiag_strength": 0.999999}}, "lattice.coupling"),
+    # a billion noise segments: above the segment ceiling
+    ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1000.0},
+     "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}}, "dephasing.segment_length"),
+    # Chebyshev work above the budget
+    ({"experiment": "ballistic", "lattice": {"n_sites": 3}, "zgrid": {"stop": 4e5, "steps": 2},
+     "propagator": {"method": "chebyshev"}}, "zgrid.stop"),
+    ({"experiment": "boundary_sweep", "lattice": {"n_sites": 400},
+     "zgrid": {"stop": 1e4, "steps": 81}}, "zgrid.stop"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0, "steps": 10**5},
+     "propagator": {"method": "chebyshev"}}, "zgrid.stop"),
+    # 80 GB of z values, refused before the grid is built
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9},
+      "zgrid": {"stop": 1.0, "steps": 10**10}}, "zgrid.steps"),
+    # dephasing Chebyshev work above the budget: a strong noise widens the
+    # enclosure, and a long segment lengthens each expansion
+    ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 1.0, "steps": 3},
+      "dephasing": {"segment_length": 0.5, "phase_strength": 1e6}, "n_realizations": 3},
+     "zgrid.stop"),
+    ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 1e6},
+      "dephasing": {"segment_length": 31250.0, "phase_strength": 1.0}, "n_realizations": 3},
+     "zgrid.stop"),
+    # the noise widens the spectral bound past the largest float
+    ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 10.0, "steps": 3},
+      "dephasing": {"segment_length": 10.0, "phase_strength": 1e308}},
+     "dephasing.phase_strength"),
+    # an integer past the float range, as JSON may give
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 10**400}},
+     "zgrid.stop"),
+]
+
+
+@pytest.mark.parametrize("raw,path", INVALID, ids=[f"raw{i}" for i in range(len(INVALID))])
+def test_invalid_configs_rejected(raw, path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
         load_config(raw)
 
 
@@ -269,7 +297,52 @@ def test_runner_metadata_keys_tolerated():
 def test_validate_config_file_errors(tmp_path):
     with pytest.raises(ConfigError):
         validate_config(tmp_path / "missing.json")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    with pytest.raises(ConfigError):
-        validate_config(bad)
+    # not JSON, not UTF-8, and an integer longer than the parser converts
+    for text in (b"{not json", b'{"experiment": "\xe9"}', b'{"master_seed": ' + b"1" * 5000 + b"}"):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
+            validate_config(bad)
+
+
+# how README's schema table names each kind of the config table
+KIND_NAMES = {"int": "integer", "float": "number", "str": "string", "floats": "number or list",
+              "pair": "pair of integers", "strs": "list of strings"}
+
+
+def _json(text):
+    """(True, value) if ``text`` is a JSON value, else (False, text): a formula."""
+    try:
+        return True, json.loads(text)
+    except ValueError:
+        return False, text
+
+
+def test_readme_schema_table_matches_the_config_table():
+    section = README.read_text().split("### Config schema")[1].split("\n### ")[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == 4 and cells[0].startswith("`"):
+            rows[cells[0].split("`")[1]] = cells[1:]
+    table = {(f"{block.split('.')[0]}.{key}" if block else key): spec
+             for block, keys in _SCHEMA.items() for key, spec in keys.items()
+             if spec[0] != "object"}
+    assert sorted(rows) == sorted(table)
+    for name, (kind, default, bounds) in table.items():
+        kind_cell, default_cell, bounds_cell = rows[name]
+        assert kind_cell == KIND_NAMES[kind], name
+        constant, value = _json(default_cell)
+        if default is _REQUIRED:
+            assert default_cell == "required", name
+        elif callable(default):
+            assert not constant and default_cell != "required", name
+        else:
+            assert constant and value == default and type(value) is type(default), name
+        # each bound: an operator, then a JSON value or a formula
+        ops = [piece.strip().split(" ", 1) for piece in bounds_cell.split(";") if piece.strip()]
+        parsed = [(op[0], _json(op[1]) if len(op) > 1 else (True, None)) for op in ops]
+        assert [(op, b) for op, (is_value, b) in parsed if is_value] == [
+            (op, b) for op, b in bounds if not callable(b)], name
+        assert [op for op, (is_value, _) in parsed if not is_value] == [
+            op for op, b in bounds if callable(b)], name
