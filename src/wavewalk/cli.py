@@ -5,13 +5,15 @@ Subcommands:
   validate <config.json>   resolve and print the config (defaults filled)
   oracle bessel|images|ctrw ...   dump a closed-form reference to stdout
 
-The boundary sweep diagonalizes nothing: its carpet is one Chebyshev block
-over all swept inputs on their light-cone window, and its z-resolved rows
-come from ``evolve_chebyshev``.
+The runner builds no expansion itself. The boundary sweep diagonalizes
+nothing: its carpet is one ``chebyshev_rows`` call on the unit inputs at
+the final z, and its z-resolved rows come from ``evolve_chebyshev``.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure. All floats are
-serialized with 17 significant digits, so identical configs and seeds give
-byte-identical files on any machine with the same floating-point behavior.
+Exit codes: 0 success, 2 config error (naming the config key, the oracle
+flag, or the output directory that cannot be created), 3 numerical failure.
+All floats are serialized with 17 significant digits, so identical configs
+and seeds give byte-identical files on any machine with the same
+floating-point behavior.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from .ensembles import ROW_SUM_TOL, DephasingSpec, DisorderSpec, evolve_dephasin
 from .errors import NumericalFailure
 from .lattice import SingleSite, build_hamiltonian, make_initial_state
 from .observables import participation_ratio, spread_variance
-from .oracles import bessel_free_state, classical_ctrw_distribution, image_boundary_state
+from .oracles import (
+    bessel_free_state,
+    check_source,
+    classical_ctrw_distribution,
+    image_boundary_state,
+)
 from .propagators import (
-    _CHEBYSHEV_TOL,
-    _chebyshev_coefficients,
-    _chebyshev_enclosure,
-    _light_cone_step,
+    chebyshev_rows,
     decompose,  # noqa: F401  unused here; bench/tracing.py wraps cli.decompose
     evolve_chebyshev,
     evolve_eigen,
@@ -88,21 +92,14 @@ def _write_pgm(path: Path, rows: np.ndarray) -> None:
             fh.write(" ".join(str(v) for v in row) + "\n")
 
 
-def _sweep_carpet(h, lo: int, hi: int, z: float) -> np.ndarray:
-    """Output intensities at z of the unit inputs at sites lo..hi: one block
-    Chebyshev recurrence over all inputs, on their light-cone window."""
-    center, halfwidth = _chebyshev_enclosure(h)
-    coeffs = _chebyshev_coefficients(halfwidth * z, _CHEBYSHEV_TOL)
-    inputs = np.eye(hi - lo + 1, h.n_sites, k=lo)
-    amps = np.zeros(inputs.shape, dtype=np.complex128)
-    _light_cone_step(h, center, halfwidth, coeffs, z, inputs, lo, hi, amps)
-    return amps.real ** 2 + amps.imag ** 2
-
-
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path:
     """Execute the configured experiment and write its artifact files."""
     out = Path(output_dir if output_dir is not None else cfg.output["directory"])
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        key = "--output-dir" if output_dir is not None else "output.directory"
+        raise ConfigError(f"{key}: cannot create directory {str(out)!r}: {exc.strerror}") from exc
     formats = cfg.output["formats"]
     lattice = cfg.lattice_spec()
     zgrid = cfg.zgrid_obj()
@@ -139,7 +136,9 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
     elif cfg.experiment == "boundary_sweep":
         h = build_hamiltonian(lattice)
         lo, hi = cfg.sweep["input_min"], cfg.sweep["input_max"]
-        carpet = _sweep_carpet(h, lo, hi, float(zvals[-1]))
+        amps = chebyshev_rows(h, np.eye(hi - lo + 1, lattice.n_sites, k=lo), zvals[-1:])[0]
+        carpet = amps.real ** 2 + amps.imag ** 2
+        del amps  # else the complex block stays alive through the run below and the writers
         # the z-resolved files track the input closest to the wall
         psi0 = make_initial_state(SingleSite(lo), lattice.n_sites)
         intensities = evolve_chebyshev(h, psi0, zgrid).intensities()
@@ -199,6 +198,12 @@ def _cmd_validate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     n = args.n_sites
+    rate, time = ("gamma", "t") if args.which == "ctrw" else ("c", "z")
+    try:  # the closed forms' own argument rules, each named by its flag
+        check_source(args.j0, getattr(args, rate), getattr(args, time), n,
+                     ("--j0", f"--{rate}", f"--{time}", "--n-sites"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if args.which == "bessel":
         psi = bessel_free_state(args.j0, args.c, args.z, n).amps
     elif args.which == "images":

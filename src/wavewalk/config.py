@@ -21,6 +21,7 @@ import numpy as np
 
 from .ensembles import _BLOCK, _n_segments
 from .lattice import (
+    MAX_SITES,
     Boundary,
     DiagConvention,
     GaussianBeam,
@@ -85,7 +86,7 @@ _SCHEMA = {
         "classical": ("object", {}, ()),
     },
     "lattice": {
-        "n_sites": ("int", _REQUIRED, ((">=", 2),)),
+        "n_sites": ("int", _REQUIRED, ((">=", 2), ("<=", MAX_SITES))),
         "boundary": ("str", "open", (("in", ["open", "periodic"]),)),
         "coupling": ("floats", 1.0, ((">", 0),)),
         "beta": ("floats", 0.0, ()),
@@ -270,6 +271,17 @@ class ExperimentConfig:
         return out
 
 
+# the eigen path holds the N x N eigenvectors, 8*N^2 bytes, and peaks at about
+# twice that (616 MB RSS at 6 000 sites, measured): at most 512 MiB, so
+# N <= 8 192; the committed configs, benchmark workloads and test configs
+# diagonalize at most 201 sites
+_MAX_EIGEN_BYTES = 2 ** 29
+# output cells, z rows (plus carpet rows) times sites: a cell costs 24-56 B
+# in the run's states and intensities and up to 25 B of CSV, so at most about
+# 0.6 GB each; the committed configs, benchmark workloads and test configs
+# have at most 1.01e6 (ballistic_n10k)
+_MAX_CELLS = 10_000_000
+
 # budget on the Chebyshev work of a ballistic, boundary-sweep or dephasing run,
 # in site updates (_chebyshev_work): 6-8 s at the 12-16 ns each measured on 2
 # cores; the committed configs and benchmark workloads stay below 2.0e8
@@ -419,6 +431,18 @@ def load_config(raw: dict) -> ExperimentConfig:
             _err("sweep.input_max", f"must be >= input_min={lo}")
         if hi >= n_sites:
             _err("sweep.input_max", f"site {hi} outside lattice of {n_sites} sites")
+
+    # resource bounds, checked before anything is allocated
+    eigen = (experiment == "disorder" or (experiment == "ballistic" and prop["method"] == "eigen")
+             or (experiment == "dephasing" and block["dephasing"]["phase_strength"] == 0.0))
+    if eigen and 8 * n_sites ** 2 > _MAX_EIGEN_BYTES:
+        _err("lattice.n_sites", f"{n_sites} sites need {8 * n_sites ** 2 / 2 ** 20:.4g} MiB "
+             f"of eigenvectors, above the eigen path's {_MAX_EIGEN_BYTES // 2 ** 20} MiB")
+    sweep = block.get("sweep")
+    rows = zgrid["steps"] + (sweep["input_max"] - sweep["input_min"] + 1 if sweep else 0)
+    if rows * n_sites > _MAX_CELLS:
+        _err("zgrid.steps", f"{rows} output rows of {n_sites} sites are {rows * n_sites:.3g} "
+             f"cells, above the ceiling of {_MAX_CELLS:.0e}")
 
     # a Gershgorin bound on |H| of every realization or noise history: the
     # enclosure (twice as wide) and every phase lambda*z must stay finite

@@ -20,6 +20,10 @@ import numpy as np
 
 from . import kernels
 
+# ceiling on the sites of a lattice or of an oracle window, checked before
+# anything is allocated: 80 MB per array of site values
+MAX_SITES = 10_000_000
+
 
 class Boundary(Enum):
     OPEN = "open"

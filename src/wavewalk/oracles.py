@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .errors import WindowTooSmallError
-from .lattice import WaveFunction, _check_near_one
+from .lattice import MAX_SITES, WaveFunction, _check_near_one
 
 _UNIT_PHASES = np.array([1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j])  # (-i)^k, k mod 4
 
@@ -48,15 +48,31 @@ class ProbabilityDist:
         return self.probs.shape[0]
 
 
-def _check_source(j0: int, c: float, z: float, n_sites: int) -> None:
-    if n_sites < 2:
-        raise ValueError("n_sites must be >= 2")
+def check_source(j0: int, rate: float, time: float, n_sites: int,
+                 names=("j0", "c", "z", "n_sites")) -> None:
+    """Refuse (ValueError, naming the argument as ``names`` spells it) a
+    window outside [2, MAX_SITES] sites, a launch site outside the window,
+    a rate that is not finite and > 0, or a time that is not finite and >= 0."""
+    j_name, rate_name, time_name, n_name = names
+    if not 2 <= n_sites <= MAX_SITES:
+        raise ValueError(f"{n_name}: must lie in [2, {MAX_SITES}], got {n_sites}")
     if not 0 <= j0 < n_sites:
-        raise ValueError(f"j0={j0} outside lattice [0, {n_sites})")
-    if c <= 0.0:
-        raise ValueError("coupling c must be > 0")
-    if z < 0.0:
-        raise ValueError("z must be nonnegative")
+        raise ValueError(f"{j_name}: site {j0} outside the window [0, {n_sites})")
+    if not 0.0 < rate < math.inf:  # written so that NaN fails
+        raise ValueError(f"{rate_name}: must be finite and > 0, got {rate!r}")
+    if not 0.0 <= time < math.inf:
+        raise ValueError(f"{time_name}: must be finite and >= 0, got {time!r}")
+
+
+def _bessel_orders(x: float, m: int, n_sites: int) -> np.ndarray:
+    """J_0..J_m(x). The sequence costs O(x) past order m, and a window whose
+    farthest order m lies below x/2 drops most of the probability, so such a
+    window (or an x that overflowed) is refused before it is computed."""
+    if not x <= 2.0 * m:
+        raise WindowTooSmallError(
+            f"window of {n_sites} sites cannot hold the spread at 2cz={x:g}"
+        )
+    return kernels.bessel_j_sequence(x, m)
 
 
 def bessel_free_state(j0: int, c: float, z: float, n_sites: int) -> WaveFunction:
@@ -65,10 +81,10 @@ def bessel_free_state(j0: int, c: float, z: float, n_sites: int) -> WaveFunction
     The window must already hold all but <1e-12 of the probability; the
     truncated state is NOT renormalized.
     """
-    _check_source(j0, c, z, n_sites)
+    check_source(j0, c, z, n_sites)
     x = 2.0 * c * z
     dist = np.abs(np.arange(n_sites) - j0)
-    bess = kernels.bessel_j_sequence(x, int(dist.max()))
+    bess = _bessel_orders(x, int(dist.max()), n_sites)
     amps = _UNIT_PHASES[dist % 4] * bess[dist]
     tail = 1.0 - float(np.sum(bess[dist] ** 2))  # sum_n J_n(x)^2 = 1 over all n
     if not tail <= 1e-12:  # written so that NaN fails
@@ -87,12 +103,12 @@ def image_boundary_state(j0: int, c: float, z: float, n_sites: int) -> WaveFunct
     diagonalization of a long open chain before being frozen here (the
     regression test keeps guarding that agreement).
     """
-    _check_source(j0, c, z, n_sites)
+    check_source(j0, c, z, n_sites)
     x = 2.0 * c * z
     j = np.arange(n_sites)
     d_real = np.abs(j - j0)
     d_image = j + j0 + 2  # distance from the mirrored source at -(j0+2)
-    bess = kernels.bessel_j_sequence(x, int(d_image.max()))
+    bess = _bessel_orders(x, int(d_image.max()), n_sites)
     amps = _UNIT_PHASES[d_real % 4] * bess[d_real] - _UNIT_PHASES[d_image % 4] * bess[d_image]
     mass = float(np.sum(np.abs(amps) ** 2))
     # the half-lattice carries unit probability; a deficit means truncation
@@ -115,7 +131,7 @@ def classical_ctrw_distribution(
     # imported here, so that runs that need no classical walk never load scipy
     from scipy.special import ive
 
-    _check_source(j0, gamma, t, n_sites)
+    check_source(j0, gamma, t, n_sites, ("j0", "gamma", "t", "n_sites"))
     dist = np.abs(np.arange(n_sites) - j0)
     probs = ive(dist, 2.0 * gamma * t)  # ive(n, x) = exp(-x) I_n(x), exactly our form
     tail = 1.0 - float(np.sum(probs))

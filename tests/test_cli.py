@@ -15,6 +15,7 @@ from wavewalk import (
     ZGrid,
     bessel_free_state,
     build_hamiltonian,
+    evolve_chebyshev,
     evolve_eigen,
     image_boundary_state,
     make_initial_state,
@@ -30,6 +31,7 @@ from wavewalk.propagators import (
     _chebyshev_coefficients,
     _chebyshev_enclosure,
     _chebyshev_step,
+    chebyshev_rows,
 )
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -421,6 +423,19 @@ def test_sweep_carpet_equals_whole_lattice_block(tmp_path, case):
     assert np.max(np.abs(carpet[:, 1:] - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("case", list(SWEEPS), ids=list(SWEEPS))
+def test_each_carpet_row_equals_a_single_launch(case):
+    # the carpet runs every input on the window of their joint support; each
+    # row must still be the single launch from its input site
+    n, lo, hi, z = SWEEPS[case]
+    h = build_hamiltonian(uniform_lattice(n))
+    grid = ZGrid(np.array([0.5 * z, z]))
+    block = chebyshev_rows(h, np.eye(hi - lo + 1, n, k=lo), grid.values[-1:])[0]
+    for j, row in zip(range(lo, hi + 1), block):
+        single = evolve_chebyshev(h, make_initial_state(SingleSite(j), n), grid).amps[-1]
+        assert np.array_equal(row.view(np.uint64), single.view(np.uint64)), j
+
+
 def test_sweep_rows_agree_with_eigen_and_are_exactly_zero_outside_the_light_cone(tmp_path):
     n, lo, z = 400, 150, 8.0
     out = _run_sweep(tmp_path, "rows", n, lo, 170, z)
@@ -629,6 +644,33 @@ def test_oracle_ctrw_stdout(capsys):
 
 def test_oracle_images_window_failure_exit_code(capsys):
     assert main(["oracle", "images", "--j0", "0", "--z", "30.0", "--n-sites", "20"]) == 3
+
+
+@pytest.mark.parametrize("argv,code,needle", [
+    ("bessel --j0 5 --z 1 --n-sites 3", 2, "--j0"),
+    ("bessel --j0 1 --z -1 --n-sites 3", 2, "--z"),
+    ("bessel --j0 1 --z nan --n-sites 3", 2, "--z"),
+    ("bessel --j0 0 --z 1 --n-sites 1", 2, "--n-sites"),
+    ("images --j0 0 --c 0 --z 1 --n-sites 41", 2, "--c"),
+    ("ctrw --j0 20 --gamma -1 --t 1 --n-sites 41", 2, "--gamma"),
+    # 2cz = 2e300 would need the Bessel sequence to order 2e300; refused first
+    ("bessel --j0 20 --z 1e300 --n-sites 41", 3, "window of 41 sites"),
+])
+def test_oracle_flag_errors_exit_with_a_message(capsys, argv, code, needle):
+    assert main(["oracle", *argv.split()]) == code
+    err = capsys.readouterr().err
+    assert needle in err and "coupling" not in err
+
+
+def test_output_directory_that_cannot_be_created_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    cfg = _write_cfg(tmp_path, "b.json",
+                     {**BALLISTIC, "output": {"directory": str(blocker / "sub")}})
+    assert main(["simulate", str(cfg)]) == 2
+    assert "output.directory" in capsys.readouterr().err
+    assert main(["simulate", str(cfg), "--output-dir", str(blocker)]) == 2
+    assert "--output-dir" in capsys.readouterr().err
 
 
 def test_classical_cli_variance_is_diffusive(tmp_path):

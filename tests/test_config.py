@@ -1,5 +1,6 @@
 """Config schema: defaults, strict keys, idempotent resolution."""
 
+import importlib.util
 import json
 import re
 from pathlib import Path
@@ -8,9 +9,11 @@ import numpy as np
 import pytest
 
 from wavewalk import ConfigError, load_config, make_initial_state, validate_config
+from wavewalk.cli import main
 from wavewalk.config import _REQUIRED, _SCHEMA, READS
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 MINIMAL_BALLISTIC = {
@@ -346,3 +349,56 @@ def test_readme_schema_table_matches_the_config_table():
             (op, b) for op, b in bounds if not callable(b)], name
         assert [op for op, (is_value, _) in parsed if not is_value] == [
             op for op, b in bounds if callable(b)], name
+
+
+# (config, key): each would allocate far more than a machine holds
+OVERSIZED = [
+    # 8*N^2 = 7.28 TiB of eigenvectors
+    ({"experiment": "ballistic", "lattice": {"n_sites": 1_000_000}, "zgrid": {"stop": 1.0}},
+     "lattice.n_sites"),
+    # 10^9 output cells, 7.45 GiB of complex states
+    ({"experiment": "ballistic", "lattice": {"n_sites": 1000},
+      "zgrid": {"stop": 1.0, "steps": 1_000_000}}, "zgrid.steps"),
+    # 10^11 output cells, 745 GiB of probabilities
+    ({"experiment": "classical", "lattice": {"n_sites": 100_000},
+      "zgrid": {"stop": 1.0, "steps": 1_000_000}}, "zgrid.steps"),
+    # one site past the eigen cap, on the other two eigen-path experiments
+    ({"experiment": "disorder", "lattice": {"n_sites": 8193}, "zgrid": {"stop": 1.0},
+      "disorder": {"offdiag_strength": 0.5}}, "lattice.n_sites"),
+    ({"experiment": "dephasing", "lattice": {"n_sites": 8193}, "zgrid": {"stop": 1.0},
+      "dephasing": {"segment_length": 1.0, "phase_strength": 0.0}}, "lattice.n_sites"),
+    # above the site ceiling
+    ({"experiment": "ballistic", "lattice": {"n_sites": 10_000_001}, "zgrid": {"stop": 1.0},
+      "propagator": {"method": "chebyshev"}}, "lattice.n_sites"),
+    # the carpet rows count as output rows
+    ({"experiment": "boundary_sweep", "lattice": {"n_sites": 9000}, "zgrid": {"stop": 1.0},
+      "sweep": {"input_min": 0, "input_max": 1100}}, "zgrid.steps"),
+]
+
+
+@pytest.mark.parametrize("raw,key", OVERSIZED, ids=[f"oversized{i}" for i in range(len(OVERSIZED))])
+def test_resource_caps_refuse_before_the_run_allocates(tmp_path, capsys, raw, key):
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: "):
+        load_config(raw)
+    out = tmp_path / "out"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**raw, "output": {"directory": str(out)}}))
+    assert main(["simulate", str(path)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()  # the run never started
+
+
+def _workload_configs():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.config(workloads.params(name, 1, size), Path("out"))
+            for name in workloads.WORKLOADS for size in ("full", "toy")]
+
+
+def test_resource_caps_admit_the_committed_configs_and_workloads():
+    raws = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
+    raws += _workload_configs()
+    assert len(raws) == 14
+    for raw in raws:
+        load_config(raw)
