@@ -258,9 +258,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``argv`` with each negative number that follows a flag written as
+    ``--flag=value``: argparse reads a plain decimal such as -1 as a value,
+    but takes -1e-3 or -inf for a flag and reports the value as missing."""
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (prev.startswith("--") and "=" not in prev and prev not in ("--help", "--version")
+                and _is_negative_number(token)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -34,8 +34,10 @@ from .lattice import (
 from .propagators import (
     _CHEBYSHEV_TOL,
     _MAX_CHEBYSHEV_TOL,
+    _STEP_SITES,
     ZGrid,
     _chebyshev_work,
+    _order_cap,
 )
 
 
@@ -62,6 +64,10 @@ _OWN_BLOCK = {"disorder": "disorder", "dephasing": "dephasing",
 
 _REQUIRED = object()  # the default of a key that has none
 
+# ensemble size ceiling, 100 times the largest committed ensemble (1 000);
+# the disorder and dephasing work budgets bound what a run may cost below it
+_MAX_REALIZATIONS = 100_000
+
 
 def _n_sites(done: dict) -> int:
     return done["lattice"]["n_sites"]
@@ -78,7 +84,7 @@ _SCHEMA = {
         "output": ("object", {}, ()),
         "initial_state": ("object", {}, ()),
         "propagator": ("object", {}, ()),
-        "n_realizations": ("int", 1, ((">=", 1),)),
+        "n_realizations": ("int", 1, ((">=", 1), ("<=", _MAX_REALIZATIONS))),
         "master_seed": ("int", 0, ((">=", 0),)),
         "disorder": ("object", {}, ()),
         "dephasing": ("object", {}, ()),
@@ -271,9 +277,13 @@ class ExperimentConfig:
         return out
 
 
-# the eigen path holds the N x N eigenvectors, 8*N^2 bytes, and peaks at about
-# twice that (616 MB RSS at 6 000 sites, measured): at most 512 MiB, so
-# N <= 8 192; the committed configs, benchmark workloads and test configs
+# the eigen path holds the N x N eigenvectors, 8*N^2 bytes, and while it
+# diagonalizes an open chain, the workspace of scipy's eigh_tridiagonal
+# (LAPACK stevd: 1 + 4N + N^2 doubles) as well: 16*N^2 bytes. A ring's dense
+# eigh also holds H, its own copy of H and 2*N^2 doubles of workspace
+# (syevd): 40*N^2 bytes (measured: 5.1 times the eigenvector bytes at 4 000
+# sites). At most 512 MiB, so N <= 5 792 on an open chain and N <= 3 663 on
+# a ring; the committed configs, benchmark workloads and test configs
 # diagonalize at most 201 sites
 _MAX_EIGEN_BYTES = 2 ** 29
 # output cells, z rows (plus carpet rows) times sites: a cell costs 24-56 B
@@ -283,9 +293,23 @@ _MAX_EIGEN_BYTES = 2 ** 29
 _MAX_CELLS = 10_000_000
 
 # budget on the Chebyshev work of a ballistic, boundary-sweep or dephasing run,
-# in site updates (_chebyshev_work): 6-8 s at the 12-16 ns each measured on 2
-# cores; the committed configs and benchmark workloads stay below 2.0e8
+# in site updates (_chebyshev_work): at most about 5 s at the 10 ns each that a
+# run of mostly recurrence steps takes on 2 cores (window updates take less).
+# Admitted maxima: configs/dephasing.json and the dephasing_ensemble workload
+# 2.0e8 (toy 9.7e7); ballistic_n10k 4.0e6 (toy 5.2e5), boundary_carpet 3.5e6
+# (toy 7.2e5), configs/boundary_sweep.json 2.9e6, configs/stress_n10000.json
+# 1.9e5; the other configs and workloads run no Chebyshev expansion
 _MAX_WORK = 500_000_000
+
+
+# budget on a disorder ensemble: per realization, N^3 for its diagonalization
+# and nz*N^2 for its phased products, plus this for its fixed cost (sampling,
+# building, the numpy calls: about 0.45 ms); one unit costs about 1 ns at
+# N = 99 on 2 cores (less at larger N), so the budget is about 5 s there.
+# configs/disorder.json and the disorder_ensemble workload estimate 2.1e9
+# (1.2-2 s), and acceptance criterion 4 1.5e9
+_REALIZATION_WORK = 500_000
+_MAX_DISORDER_WORK = 5_000_000_000
 
 
 def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> None:
@@ -306,11 +330,12 @@ def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> N
                 + _chebyshev_work(n, False, lo, lo, 1, halfwidth, zvals, _MAX_WORK))
     elif cfg["experiment"] == "dephasing":
         # each block of histories runs one expansion per segment, and at most
-        # one more per grid point, on the whole lattice
+        # one more per grid point, on the whole lattice; each is a 1-d call,
+        # whose scalar accumulation is counted within its recurrence steps
         nr, deph = cfg["n_realizations"], cfg["dephasing"]
         dz = deph["segment_length"]
-        once = _chebyshev_work(n, periodic, 0, n - 1, min(nr, _BLOCK),
-                               halfwidth + 0.5 * deph["phase_strength"], [dz], _MAX_WORK)
+        once = (_order_cap((halfwidth + 0.5 * deph["phase_strength"]) * dz)
+                * (min(nr, _BLOCK) * n + _STEP_SITES))
         work = -(-nr // _BLOCK) * (_n_segments(zgrid["stop"], dz) + zgrid["steps"]) * once
     else:
         ini = cfg["initial_state"]
@@ -435,9 +460,18 @@ def load_config(raw: dict) -> ExperimentConfig:
     # resource bounds, checked before anything is allocated
     eigen = (experiment == "disorder" or (experiment == "ballistic" and prop["method"] == "eigen")
              or (experiment == "dephasing" and block["dephasing"]["phase_strength"] == 0.0))
-    if eigen and 8 * n_sites ** 2 > _MAX_EIGEN_BYTES:
-        _err("lattice.n_sites", f"{n_sites} sites need {8 * n_sites ** 2 / 2 ** 20:.4g} MiB "
-             f"of eigenvectors, above the eigen path's {_MAX_EIGEN_BYTES // 2 ** 20} MiB")
+    eigen_bytes = (40 if periodic else 16) * n_sites ** 2
+    if eigen and eigen_bytes > _MAX_EIGEN_BYTES:
+        _err("lattice.n_sites", f"{n_sites} sites need {eigen_bytes / 2 ** 20:.4g} MiB of "
+             f"eigenvectors and solver workspace, above the eigen path's "
+             f"{_MAX_EIGEN_BYTES // 2 ** 20} MiB")
+    if experiment == "disorder":
+        nr = cfg["n_realizations"]
+        work = nr * (n_sites ** 3 + zgrid["steps"] * n_sites ** 2 + _REALIZATION_WORK)
+        if work > _MAX_DISORDER_WORK:
+            _err("n_realizations", f"{nr} realizations of {n_sites} sites at {zgrid['steps']} "
+                 f"z values need work {work:.2g}, above the disorder budget of "
+                 f"{_MAX_DISORDER_WORK:.0e}")
     sweep = block.get("sweep")
     rows = zgrid["steps"] + (sweep["input_max"] - sweep["input_min"] + 1 if sweep else 0)
     if rows * n_sites > _MAX_CELLS:

@@ -4,7 +4,9 @@ All kernels are vectorized numpy, one algorithm each for every input (the
 Bessel sequence is Miller's recurrence at every x > 0). The matvec and the
 Chebyshev recurrence act on the last axis, so a block of states (one per row,
 each with its own diagonal row) runs as one call and every row gives the bits
-of the 1-d call.
+of the 1-d call. One Chebyshev recurrence also serves several coefficient
+sets (one per propagation distance, as columns), each with the bits of its
+own call.
 Callers look the kernels up through this module (``kernels.<name>``), so
 they can be swapped at runtime, for instance by a tracer.
 """
@@ -43,18 +45,53 @@ def tridiag_matvec(diag, off, corner, x):
 # with Hs = (H - center) / halfwidth rescaled to spectrum within [-1, 1].
 # ---------------------------------------------------------------------------
 
-def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi):
+# the column updates of a 2-d call broadcast over at most this many
+# amplitudes at a time, so their temporary stays small (1 MiB)
+_UPDATE_CELLS = 1 << 16
+
+
+def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, terms=None, out=None):
+    """sum_k coeffs[k] T_k(Hs) psi along the last axis of psi.
+
+    ``coeffs`` of shape (K,) gives one sum, one scalar multiply per term.
+    Of shape (K, nz) it gives one sum per column from one recurrence, stacked
+    on a new first axis (written into ``out`` if given). Column j takes only
+    its first ``terms[j]`` terms; ``terms`` must not decrease from column to
+    column, so the columns still summing at term k are a suffix. Each column
+    has the bits of the 1-d call on its own terms."""
     inv = 1.0 / halfwidth
     shifted = diag - center
     t0 = psi.astype(np.complex128, copy=True)
-    acc = coeffs[0] * t0
-    if coeffs.shape[0] == 1:
+    if coeffs.ndim == 1:
+        acc = coeffs[0] * t0
+        n_terms = coeffs.shape[0]
+
+        def add(k, t):
+            np.add(acc, coeffs[k] * t, out=acc)
+    else:
+        n_cols = coeffs.shape[1]
+        terms = np.asarray(terms)
+        if (terms.shape != (n_cols,) or terms[0] < 1 or terms[-1] > coeffs.shape[0]
+                or np.any(np.diff(terms) < 0)):
+            raise ValueError("terms must give each column 1 to K terms, in ascending order")
+        n_terms = int(terms[-1])
+        # coefficient of column j at term k as a scalar broadcast over the state
+        cols = coeffs.reshape(coeffs.shape + (1,) * psi.ndim)
+        acc = np.empty((n_cols,) + psi.shape, dtype=np.complex128) if out is None else out
+        np.multiply(cols[0], t0, out=acc)
+        first = np.searchsorted(terms, np.arange(n_terms), side="right")
+        step = max(1, _UPDATE_CELLS // t0.size)
+
+        def add(k, t):
+            for j in range(first[k], n_cols, step):
+                acc[j : j + step] += cols[k, j : j + step] * t
+    if n_terms == 1:
         return acc
     t1 = inv * (tridiag_matvec(shifted, off, corner, t0))
-    acc += coeffs[1] * t1
-    for k in range(2, coeffs.shape[0]):
+    add(1, t1)
+    for k in range(2, n_terms):
         t2 = 2.0 * inv * tridiag_matvec(shifted, off, corner, t1) - t0
-        acc += coeffs[k] * t2
+        add(k, t2)
         t0, t1 = t1, t2
     return acc
 

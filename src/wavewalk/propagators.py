@@ -5,8 +5,8 @@
 * evolve_chebyshev — Chebyshev polynomial expansion of exp(-iHz) on the
   spectrum rescaled to [-1, 1]; the scalable path for ~10^4 sites, one call
   of chebyshev_rows, which propagates a state or a block of them (the
-  boundary-sweep carpet) on their light-cone window. Dephasing blocks share
-  its enclosure and step.
+  boundary-sweep carpet) on their light-cone window, with one recurrence for
+  every z of the call. Dephasing blocks share its enclosure and step.
 * evolve_ode_oracle — fixed-step RK4 on i dpsi/dz = H psi; slow, used as an
   independent cross-check in tests only.
 """
@@ -214,42 +214,61 @@ def _light_cone_window(n: int, periodic: bool, a: int, b: int, k: int):
 # this many for the fixed cost of its numpy calls (measured on 2 cores: about
 # 13 us per step, against 10-18 ns per site update)
 _STEP_SITES = 1000
+# each z pays this many per order of its expansion for its coefficients,
+# whose Bessel recurrence runs in a Python loop (measured: about 2 us per order)
+_COEFF_SITES = 150
 
 
 def _chebyshev_work(n: int, periodic: bool, a: int, b: int, rows: int, halfwidth: float,
                     zvals, limit: int) -> int:
-    """Site updates of light-cone Chebyshev expansions of ``rows`` states that
-    vanish outside sites a..b, one expansion per z in ``zvals``, each at the
-    order ceiling of ``halfwidth * z``. The sum stops once it passes
-    ``limit``, so that refusing a huge grid costs little."""
-    work = 0
+    """Site updates of one light-cone Chebyshev recurrence that serves every z
+    in ``zvals`` (ascending) for ``rows`` states that vanish outside sites
+    a..b, each order K taken at its ceiling: K_max recurrence steps on the
+    window W of K_max, then for each z, K(z) updates of W and K(z)
+    coefficients. The sum stops once it passes ``limit``, so that refusing a
+    huge grid costs little."""
+    k_max = _order_cap(halfwidth * zvals[-1])
+    lo, hi, _ = _light_cone_window(n, periodic, a, b, k_max)
+    window = rows * (hi - lo)
+    work = k_max * (window + _STEP_SITES)
     for z in zvals:
-        k = _order_cap(halfwidth * z)
-        lo, hi, _ = _light_cone_window(n, periodic, a, b, k)
-        work += k * (rows * (hi - lo) + _STEP_SITES)
         if work > limit:
             break
+        work += _order_cap(halfwidth * z) * (window + _COEFF_SITES)
     return work
 
 
 def chebyshev_rows(h: Hamiltonian, rows: np.ndarray, zvals,
                    tol: float = _CHEBYSHEV_TOL) -> np.ndarray:
     """exp(-iHz) ``rows`` (one state of n sites, or a block of them) at each z
-    of ``zvals``, stacked along a new first axis. Each expansion runs on the
-    light-cone window of the rows' joint support with the whole lattice's
-    enclosure and coefficients: sites outside stay exactly 0, and inside it
-    the bits are those of the whole lattice."""
+    of ``zvals`` (ascending), stacked along a new first axis. One recurrence
+    serves every z: it runs on the light-cone window of the rows' joint
+    support at the largest order, with the whole lattice's enclosure, and
+    each z sums its own coefficients up to its own order, which does not
+    fall as z grows. Sites outside the light cone of a z stay exactly 0, and
+    inside it the bits are those of the whole lattice."""
     center, halfwidth = _chebyshev_enclosure(h)
     support = np.flatnonzero(np.any(rows.reshape(-1, h.n_sites) != 0.0, axis=0))
     a, b = int(support[0]), int(support[-1])
-    out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)
-    for amps, z in zip(out, zvals):
-        coeffs = _chebyshev_coefficients(halfwidth * z, tol)
-        lo, hi, wraps = _light_cone_window(h.n_sites, h.is_periodic, a, b, coeffs.shape[0] - 1)
-        amps[..., lo:hi] = _chebyshev_step(
-            h.diag[lo:hi], h.offdiag[lo : hi - 1], h.corner if wraps else 0.0, center,
-            halfwidth, coeffs, z, rows[..., lo:hi],
-        )
+    per_z = [_chebyshev_coefficients(halfwidth * z, tol) for z in zvals]
+    terms = np.array([c.shape[0] for c in per_z])
+    coeffs = np.zeros((terms[-1], len(per_z)), dtype=np.complex128)
+    for j, c in enumerate(per_z):
+        coeffs[: c.shape[0], j] = c
+    lo, hi, wraps = _light_cone_window(h.n_sites, h.is_periodic, a, b, terms[-1] - 1)
+    out = np.zeros((len(per_z),) + rows.shape, dtype=np.complex128)
+    kernels.chebyshev_apply(
+        h.diag[lo:hi], h.offdiag[lo : hi - 1], h.corner if wraps else 0.0, center, halfwidth,
+        coeffs, rows[..., lo:hi], terms=terms, out=out[..., lo:hi],
+    )
+    for amps, z, k in zip(out, zvals, terms):
+        # what lies outside this z's own window is exactly 0 up to its sign;
+        # inside it the centre comes back as a phase, as in _chebyshev_step
+        zlo, zhi, _ = _light_cone_window(h.n_sites, h.is_periodic, a, b, k - 1)
+        amps[..., lo:zlo] = 0.0
+        amps[..., zhi:hi] = 0.0
+        inside = amps[..., zlo:zhi]
+        np.multiply(np.exp(-1j * center * z), inside, out=inside)
     return out
 
 

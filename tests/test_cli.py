@@ -529,9 +529,11 @@ def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     done = []
     apply = kernels.chebyshev_apply
 
-    def counting(diag, off, corner, center, halfwidth, coeffs, psi):
-        done.append((coeffs.shape[0] - 1) * (psi.size + _STEP_SITES))
-        return apply(diag, off, corner, center, halfwidth, coeffs, psi)
+    def counting(diag, off, corner, center, halfwidth, coeffs, psi, terms=None, out=None):
+        # the recurrence steps, then one update of the window per term of each column
+        counts = [coeffs.shape[0]] if terms is None else terms
+        done.append((max(counts) - 1) * (psi.size + _STEP_SITES) + psi.size * sum(counts))
+        return apply(diag, off, corner, center, halfwidth, coeffs, psi, terms=terms, out=out)
 
     monkeypatch.setattr(kernels, "chebyshev_apply", counting)
     run_experiment(cfg, output_dir=str(tmp_path))
@@ -653,6 +655,9 @@ def test_oracle_images_window_failure_exit_code(capsys):
     ("bessel --j0 0 --z 1 --n-sites 1", 2, "--n-sites"),
     ("images --j0 0 --c 0 --z 1 --n-sites 41", 2, "--c"),
     ("ctrw --j0 20 --gamma -1 --t 1 --n-sites 41", 2, "--gamma"),
+    # negative values that argparse alone would take for flags
+    ("bessel --j0 5 --z -1e-3 --n-sites 11", 2, "--z: must be finite and >= 0"),
+    ("ctrw --j0 20 --gamma -inf --t 1 --n-sites 41", 2, "--gamma: must be finite and > 0"),
     # 2cz = 2e300 would need the Bessel sequence to order 2e300; refused first
     ("bessel --j0 20 --z 1e300 --n-sites 41", 3, "window of 41 sites"),
 ])

@@ -367,6 +367,22 @@ OVERSIZED = [
       "disorder": {"offdiag_strength": 0.5}}, "lattice.n_sites"),
     ({"experiment": "dephasing", "lattice": {"n_sites": 8193}, "zgrid": {"stop": 1.0},
       "dephasing": {"segment_length": 1.0, "phase_strength": 0.0}}, "lattice.n_sites"),
+    # one site past the cap on eigenvectors plus solver workspace: 16*N^2
+    # bytes on an open chain, 40*N^2 on a ring
+    ({"experiment": "ballistic", "lattice": {"n_sites": 5793}, "zgrid": {"stop": 1.0}},
+     "lattice.n_sites"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 3664, "boundary": "periodic"},
+      "zgrid": {"stop": 1.0}}, "lattice.n_sites"),
+    # above the ensemble ceiling
+    ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+      "dephasing": {"segment_length": 0.5, "phase_strength": 1.0}, "n_realizations": 100_001},
+     "n_realizations"),
+    # disorder work above the budget: ten realizations of 1 000 sites, and
+    # 10^5 of 2 sites, whose fixed cost per realization dominates
+    ({"experiment": "disorder", "lattice": {"n_sites": 1000}, "zgrid": {"stop": 1.0},
+      "disorder": {"offdiag_strength": 0.5}, "n_realizations": 10}, "n_realizations"),
+    ({"experiment": "disorder", "lattice": {"n_sites": 2}, "zgrid": {"stop": 1.0, "steps": 1},
+      "disorder": {"offdiag_strength": 0.5}, "n_realizations": 100_000}, "n_realizations"),
     # above the site ceiling
     ({"experiment": "ballistic", "lattice": {"n_sites": 10_000_001}, "zgrid": {"stop": 1.0},
       "propagator": {"method": "chebyshev"}}, "lattice.n_sites"),
@@ -402,3 +418,10 @@ def test_resource_caps_admit_the_committed_configs_and_workloads():
     assert len(raws) == 14
     for raw in raws:
         load_config(raw)
+
+
+def test_disorder_budget_admits_the_acceptance_ensemble():
+    # criterion 4 runs 1 000 realizations of 99 sites to a single z = 30
+    load_config({"experiment": "disorder", "lattice": {"n_sites": 99},
+                 "zgrid": {"stop": 30.0, "steps": 1}, "disorder": {"offdiag_strength": 0.5},
+                 "n_realizations": 1000})
