@@ -328,16 +328,16 @@ def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> N
         lo, hi = cfg["sweep"]["input_min"], cfg["sweep"]["input_max"]
         work = (_chebyshev_work(n, False, lo, hi, hi - lo + 1, halfwidth, zvals[-1:], _MAX_WORK)
                 + _chebyshev_work(n, False, lo, lo, 1, halfwidth, zvals, _MAX_WORK))
-    elif cfg["experiment"] == "dephasing":
-        # each block of histories runs one expansion per segment, and at most
-        # one more per grid point, on the whole lattice; each is a 1-d call,
-        # whose scalar accumulation is counted within its recurrence steps
+    elif cfg["experiment"] == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0:
+        # each block of histories runs one recurrence per segment, with its
+        # segment-end column counted within its steps, plus at most one column
+        # per grid point, each counted as a whole recurrence on the lattice
         nr, deph = cfg["n_realizations"], cfg["dephasing"]
         dz = deph["segment_length"]
         once = (_order_cap((halfwidth + 0.5 * deph["phase_strength"]) * dz)
                 * (min(nr, _BLOCK) * n + _STEP_SITES))
         work = -(-nr // _BLOCK) * (_n_segments(zgrid["stop"], dz) + zgrid["steps"]) * once
-    else:
+    else:  # a launch, or the no-noise dephasing control
         ini = cfg["initial_state"]
         if ini["kind"] == "single_site":
             a = b = ini["site"]
@@ -458,8 +458,7 @@ def load_config(raw: dict) -> ExperimentConfig:
             _err("sweep.input_max", f"site {hi} outside lattice of {n_sites} sites")
 
     # resource bounds, checked before anything is allocated
-    eigen = (experiment == "disorder" or (experiment == "ballistic" and prop["method"] == "eigen")
-             or (experiment == "dephasing" and block["dephasing"]["phase_strength"] == 0.0))
+    eigen = experiment == "disorder" or (experiment == "ballistic" and prop["method"] == "eigen")
     eigen_bytes = (40 if periodic else 16) * n_sites ** 2
     if eigen and eigen_bytes > _MAX_EIGEN_BYTES:
         _err("lattice.n_sites", f"{n_sites} sites need {eigen_bytes / 2 ** 20:.4g} MiB of "
@@ -489,7 +488,7 @@ def load_config(raw: dict) -> ExperimentConfig:
                else "lattice.beta" if site > hop else "lattice.coupling")
         _err(key, "the spectral bound |beta| + 2*coupling, widened by disorder, times "
              "max(2, zgrid.stop) overflows")
-    if (experiment == "boundary_sweep" or noise > 0.0
+    if (experiment in ("boundary_sweep", "dephasing")
             or (experiment == "ballistic" and prop["method"] == "chebyshev")):
         _check_chebyshev_work(cfg, zvals, hop, minus_degree)
 

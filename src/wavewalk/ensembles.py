@@ -9,8 +9,10 @@ adds the sum over each block of ``_BLOCK`` consecutive histories, one block
 after another, which is not a left fold over histories.
 
 A dephasing block propagates as one (R, n) array: each noise segment is one
-Chebyshev recurrence over all R histories, on the clean enclosure padded by
-the largest noise amplitude, which holds for every segment Hamiltonian.
+light-cone Chebyshev call over all R histories, at the segment's end and at
+every grid point it meets, on the clean enclosure padded by the largest
+noise amplitude, which holds for every segment Hamiltonian. The no-noise
+control is one clean Chebyshev run, so no dephasing run diagonalizes.
 """
 
 from __future__ import annotations
@@ -32,11 +34,11 @@ from .observables import participation_ratio, spread_variance
 from .propagators import (
     _CHEBYSHEV_TOL,
     ZGrid,
-    _chebyshev_coefficients,
     _chebyshev_enclosure,
-    _chebyshev_step,
+    _chebyshev_table,
+    _light_cone_rows,
     decompose,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.decompose
-    evolve_chebyshev,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.evolve_chebyshev
+    evolve_chebyshev,
     evolve_eigen,
 )
 
@@ -204,8 +206,8 @@ def _dephasing_block_rows(
     time, with I of shape (k_hi - k_lo, n_sites).
 
     What every history shares is set up once: the spectral enclosure, the
-    grid rows met in each segment with their offsets from its start, and one
-    Chebyshev coefficient set per distinct offset."""
+    offsets from its start of the grid rows met in each segment, and one
+    Chebyshev coefficient table per distinct tuple of a segment's offsets."""
     n = h0.n_sites
     half = 0.5 * deph.phase_strength
     center, halfwidth = _chebyshev_enclosure(h0, pad=half)
@@ -216,40 +218,31 @@ def _dephasing_block_rows(
     dz = deph.segment_length
     zvals = zgrid.values
     gi = 0
-    segments = []
+    segments = []  # per segment: (grid row, column) pairs, offsets, column of dz
+    tables = {}
     for s in range(n_segments):
-        z_start = s * dz
-        z_end = (s + 1) * dz
+        z_start, z_end = s * dz, (s + 1) * dz
         met = []
         while gi < zvals.size and zvals[gi] <= z_end + 1e-9 * max(1.0, z_end):
             met.append((gi, float(zvals[gi] - z_start)))
             gi += 1
-        segments.append(met)
+        offsets = tuple(sorted({dz} | {dt for _, dt in met}))
+        if offsets not in tables:
+            tables[offsets] = _chebyshev_table(halfwidth * np.array(offsets), _CHEBYSHEV_TOL)
+        segments.append(([(row, offsets.index(dt)) for row, dt in met], offsets,
+                         offsets.index(dz)))
     if gi < zvals.size:
         raise ValueError("zgrid extends past the final noise segment")
-    offsets = {dz} | {dt for met in segments for _, dt in met}
-    coeffs = {dt: _chebyshev_coefficients(halfwidth * dt, _CHEBYSHEV_TOL) for dt in offsets}
 
     def block_rows(k_lo: int, k_hi: int):
         rngs = [policy.stream(k) for k in range(k_lo, k_hi)]
         psi = np.tile(psi0.amps, (len(rngs), 1))
-        noise = np.empty((len(rngs), n))
-
-        def advance(diag, dt):
-            return _chebyshev_step(diag, h0.offdiag, h0.corner, 0.0, halfwidth, coeffs[dt],
-                                   dt, psi)
-
-        for met in segments:
-            for r, rng in enumerate(rngs):
-                noise[r] = rng.uniform(-half, half, size=n)
-            diag = shifted + noise
-            for row, dt in met:
-                if dt != dz:
-                    yield row, np.abs(advance(diag, dt)) ** 2
-            psi = advance(diag, dz)
-            for row, dt in met:
-                if dt == dz:
-                    yield row, np.abs(psi) ** 2
+        for met, offsets, end in segments:
+            noisy = shifted + np.array([rng.uniform(-half, half, size=n) for rng in rngs])
+            amps = _light_cone_rows(h0, noisy, 0.0, halfwidth, *tables[offsets], psi, offsets)
+            for row, j in met:
+                yield row, np.abs(amps[j]) ** 2
+            psi = amps[end]
 
     return block_rows
 
@@ -283,8 +276,9 @@ def evolve_dephasing(
 ) -> EnsembleStats:
     """Ensemble of temporal-disorder histories (piecewise-constant diagonal noise).
 
-    phase_strength = 0 short-circuits to a single clean unitary evolution, so
-    the no-noise control matches the clean lattice exactly.
+    phase_strength = 0 short-circuits to a single clean Chebyshev run
+    (``evolve_chebyshev``), so the no-noise control matches the clean launch
+    exactly.
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
@@ -292,15 +286,11 @@ def evolve_dephasing(
     h0 = build_hamiltonian(base)
     psi0 = make_initial_state(init, base.n_sites)
     if deph.phase_strength == 0.0:
-        inten = evolve_eigen(h0, psi0, zgrid).intensities()
+        inten = evolve_chebyshev(h0, psi0, zgrid).intensities()
         return EnsembleStats(
-            n_realizations=n_realizations,
-            zgrid=zgrid,
-            mean_intensity=inten,
-            sem_intensity=np.zeros_like(inten),
-            variance_trace=spread_variance(inten),
-            pr_trace=participation_ratio(inten),
-        )
+            n_realizations=n_realizations, zgrid=zgrid, mean_intensity=inten,
+            sem_intensity=np.zeros_like(inten), variance_trace=spread_variance(inten),
+            pr_trace=participation_ratio(inten))
     block_rows = _dephasing_block_rows(h0, psi0, zgrid, deph, n_segments, SeedPolicy(master_seed))
     pairs = (pair for lo in range(0, n_realizations, _BLOCK)
              for pair in block_rows(lo, min(lo + _BLOCK, n_realizations)))

@@ -6,7 +6,8 @@
   spectrum rescaled to [-1, 1]; the scalable path for ~10^4 sites, one call
   of chebyshev_rows, which propagates a state or a block of them (the
   boundary-sweep carpet) on their light-cone window, with one recurrence for
-  every z of the call. Dephasing blocks share its enclosure and step.
+  every z of the call. Each dephasing segment is one call of the same
+  light-cone routine, with one noisy diagonal per history.
 * evolve_ode_oracle — fixed-step RK4 on i dpsi/dz = H psi; slow, used as an
   independent cross-check in tests only.
 """
@@ -120,7 +121,7 @@ def evolve_eigen(
     coeffs = _times_real(psi0.amps, v)  # = V^T psi0
     phases = np.exp(-1j * np.outer(zgrid.values, decomp.eigenvalues))
     states = _times_real(phases * coeffs, v.T)
-    # the centre comes back as a phase, as in _chebyshev_step
+    # the centre comes back as a phase, as on the Chebyshev path
     states *= np.exp(-1j * decomp.center * zgrid.values)[:, None]
     return Snapshots(zgrid=zgrid, amps=states, method="eigen")
 
@@ -194,11 +195,15 @@ def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
     return coeffs
 
 
-def _chebyshev_step(diag, offdiag, corner, center, halfwidth, coeffs, z, psi):
-    """exp(-iHz) psi, with ``coeffs`` those of halfwidth*z: the recurrence
-    expands exp(-i(H - center)z), and the centre comes back as a phase."""
-    amps = kernels.chebyshev_apply(diag, offdiag, corner, center, halfwidth, coeffs, psi)
-    return np.exp(-1j * center * z) * amps
+def _chebyshev_table(xs, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients at each argument of ``xs`` as one column of a
+    (K, len(xs)) table, zero past the column's own order, and those orders."""
+    per_x = [_chebyshev_coefficients(x, tol) for x in xs]
+    terms = np.array([c.shape[0] for c in per_x])
+    table = np.zeros((terms.max(), len(per_x)), dtype=np.complex128)
+    for j, c in enumerate(per_x):
+        table[: c.shape[0], j] = c
+    return table, terms
 
 
 def _light_cone_window(n: int, periodic: bool, a: int, b: int, k: int):
@@ -238,38 +243,41 @@ def _chebyshev_work(n: int, periodic: bool, a: int, b: int, rows: int, halfwidth
     return work
 
 
-def chebyshev_rows(h: Hamiltonian, rows: np.ndarray, zvals,
-                   tol: float = _CHEBYSHEV_TOL) -> np.ndarray:
-    """exp(-iHz) ``rows`` (one state of n sites, or a block of them) at each z
-    of ``zvals`` (ascending), stacked along a new first axis. One recurrence
-    serves every z: it runs on the light-cone window of the rows' joint
-    support at the largest order, with the whole lattice's enclosure, and
-    each z sums its own coefficients up to its own order, which does not
-    fall as z grows. Sites outside the light cone of a z stay exactly 0, and
-    inside it the bits are those of the whole lattice."""
-    center, halfwidth = _chebyshev_enclosure(h)
+def _light_cone_rows(h: Hamiltonian, diag, center: float, halfwidth: float, table, terms,
+                     rows: np.ndarray, zvals) -> np.ndarray:
+    """exp(-iH'z) ``rows`` (a state of n sites, or a block) at each z of
+    ``zvals``, stacked on a new first axis; H' has the couplings of ``h`` and
+    the diagonal ``diag`` (shared, or one row per state). Column j of ``table``
+    holds the terms[j] coefficients at halfwidth*zvals[j]; ``terms`` must not
+    fall. One recurrence serves every z, on the light-cone window of the rows'
+    joint support at the largest order: sites outside a z's own light cone
+    stay exactly 0, and inside it the bits are those of the whole lattice."""
     support = np.flatnonzero(np.any(rows.reshape(-1, h.n_sites) != 0.0, axis=0))
     a, b = int(support[0]), int(support[-1])
-    per_z = [_chebyshev_coefficients(halfwidth * z, tol) for z in zvals]
-    terms = np.array([c.shape[0] for c in per_z])
-    coeffs = np.zeros((terms[-1], len(per_z)), dtype=np.complex128)
-    for j, c in enumerate(per_z):
-        coeffs[: c.shape[0], j] = c
     lo, hi, wraps = _light_cone_window(h.n_sites, h.is_periodic, a, b, terms[-1] - 1)
-    out = np.zeros((len(per_z),) + rows.shape, dtype=np.complex128)
+    out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)
     kernels.chebyshev_apply(
-        h.diag[lo:hi], h.offdiag[lo : hi - 1], h.corner if wraps else 0.0, center, halfwidth,
-        coeffs, rows[..., lo:hi], terms=terms, out=out[..., lo:hi],
+        diag[..., lo:hi], h.offdiag[lo : hi - 1], h.corner if wraps else 0.0, center, halfwidth,
+        table, rows[..., lo:hi], terms=terms, out=out[..., lo:hi],
     )
     for amps, z, k in zip(out, zvals, terms):
-        # what lies outside this z's own window is exactly 0 up to its sign;
-        # inside it the centre comes back as a phase, as in _chebyshev_step
+        # outside this z's own window lies exactly 0 up to its sign; inside it
+        # the recurrence expanded exp(-i(H' - center)z), so the centre returns as a phase
         zlo, zhi, _ = _light_cone_window(h.n_sites, h.is_periodic, a, b, k - 1)
         amps[..., lo:zlo] = 0.0
         amps[..., zhi:hi] = 0.0
         inside = amps[..., zlo:zhi]
         np.multiply(np.exp(-1j * center * z), inside, out=inside)
     return out
+
+
+def chebyshev_rows(h: Hamiltonian, rows: np.ndarray, zvals,
+                   tol: float = _CHEBYSHEV_TOL) -> np.ndarray:
+    """exp(-iHz) ``rows`` at each z of ``zvals`` (ascending, so the orders do
+    not fall), on the whole lattice's enclosure: one ``_light_cone_rows`` call."""
+    center, halfwidth = _chebyshev_enclosure(h)
+    table, terms = _chebyshev_table(halfwidth * np.asarray(zvals), tol)
+    return _light_cone_rows(h, h.diag, center, halfwidth, table, terms, rows, zvals)
 
 
 def evolve_chebyshev(

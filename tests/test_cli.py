@@ -30,7 +30,6 @@ from wavewalk.propagators import (
     _STEP_SITES,
     _chebyshev_coefficients,
     _chebyshev_enclosure,
-    _chebyshev_step,
     chebyshev_rows,
 )
 
@@ -413,8 +412,8 @@ def test_sweep_carpet_equals_whole_lattice_block(tmp_path, case):
     h = build_hamiltonian(uniform_lattice(n))
     center, halfwidth = _chebyshev_enclosure(h)
     coeffs = _chebyshev_coefficients(halfwidth * z, _CHEBYSHEV_TOL)
-    amps = _chebyshev_step(h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, z,
-                           np.eye(hi - lo + 1, n, k=lo))
+    amps = np.exp(-1j * center * z) * kernels.chebyshev_apply(
+        h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, np.eye(hi - lo + 1, n, k=lo))
     assert np.array_equal(carpet[:, 1:], amps.real ** 2 + amps.imag ** 2)
     # and against the spectral reference, input by input
     grid = ZGrid(np.array([z]))
@@ -518,7 +517,10 @@ def test_workers_variable_is_ignored(tmp_path):
     {"experiment": "dephasing", "lattice": {"n_sites": 41, "boundary": "periodic"},
      "zgrid": {"stop": 3.0, "steps": 5},
      "dephasing": {"segment_length": 0.75, "phase_strength": 2.0}, "n_realizations": 5},
-], ids=["two_site", "ring", "boundary_sweep", "dephasing", "dephasing_ring"])
+    # the no-noise control: one clean launch
+    {"experiment": "dephasing", "lattice": {"n_sites": 301}, "zgrid": {"stop": 20.0, "steps": 5},
+     "dephasing": {"segment_length": 0.5, "phase_strength": 0.0}, "n_realizations": 5},
+], ids=["two_site", "ring", "boundary_sweep", "dephasing", "dephasing_ring", "dephasing_control"])
 def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     # the loader takes every expansion at its order ceiling, so its estimate
     # bounds the site updates the run performs, here within a factor of 10;
@@ -542,6 +544,42 @@ def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
         config.load_config(payload)
     monkeypatch.setattr(config, "_MAX_WORK", factor * sum(done))
     config.load_config(payload)
+
+
+_SIMULATE_ALL = """
+import sys
+from pathlib import Path
+from wavewalk.cli import main
+
+out = Path(sys.argv[1])
+for path in sys.argv[2:]:
+    assert main(["simulate", path, "--output-dir", str(out / Path(path).stem)]) == 0
+"""
+
+
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS sizes its thread pool from the machine's cores, so equal configs
+    # must give equal bytes at every thread count; the eigen configs are not
+    # among these yet
+    control = _write_cfg(tmp_path, "control.json", {
+        "experiment": "dephasing", "lattice": {"n_sites": 400},
+        "zgrid": {"stop": 20.0, "steps": 21},
+        "dephasing": {"segment_length": 0.5, "phase_strength": 0.0}, "n_realizations": 3})
+    names = ("classical", "dephasing", "boundary_sweep", "stress_n10000")
+    configs = [CONFIGS / f"{name}.json" for name in names] + [control]
+    files = {}
+    for threads in ("1", "2", "4"):
+        out = tmp_path / f"threads_{threads}"
+        run = _fresh_python("-c", _SIMULATE_ALL, out, *configs,
+                            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert run.returncode == 0, run.stderr
+        files[threads] = {str(path.relative_to(out)): path.read_bytes()
+                          for path in sorted(out.rglob("*")) if path.suffix in (".csv", ".pgm")}
+    assert {name.split("/")[0] for name in files["1"]} == {*names, "control"}
+    for threads in ("2", "4"):
+        assert files[threads].keys() == files["1"].keys()
+        assert [name for name in files["1"] if files[threads][name] != files["1"][name]] == [], \
+            threads
 
 
 _SCIPY_LOADED = """

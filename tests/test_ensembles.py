@@ -17,6 +17,7 @@ from wavewalk import (
     ZGrid,
     build_hamiltonian,
     decompose,
+    evolve_chebyshev,
     evolve_dephasing,
     evolve_eigen,
     make_initial_state,
@@ -25,6 +26,7 @@ from wavewalk import (
     sample_disordered_lattice,
     uniform_lattice,
 )
+from wavewalk import kernels
 from wavewalk.ensembles import _BLOCK, _dephasing_block_rows
 
 
@@ -171,7 +173,7 @@ def test_zero_dephasing_matches_clean_exactly():
     lat = uniform_lattice(61)
     grid = ZGrid(np.array([0.0, 2.0, 6.0]))
     stats = evolve_dephasing(lat, DephasingSpec(0.5, 0.0), SingleSite(30), grid, 25, 3)
-    snap = evolve_eigen(build_hamiltonian(lat), make_initial_state(SingleSite(30), 61), grid)
+    snap = evolve_chebyshev(build_hamiltonian(lat), make_initial_state(SingleSite(30), 61), grid)
     assert np.array_equal(stats.mean_intensity, snap.intensities())
 
 
@@ -196,7 +198,7 @@ def test_dephasing_with_a_huge_uniform_beta_runs():
 
 
 def test_dephasing_control_with_a_huge_uniform_beta_is_a_phase():
-    # phase_strength = 0 runs evolve_eigen, which diagonalizes in the centred frame
+    # phase_strength = 0 runs evolve_chebyshev, which expands in the centred frame
     grid = ZGrid(np.linspace(0.0, 2.0, 5))
     stats = [evolve_dephasing(LatticeSpec(21, np.ones(20), np.full(21, beta)),
                               DephasingSpec(0.5, 0.0), SingleSite(10), grid, 3, 1)
@@ -281,6 +283,25 @@ def test_dephasing_block_matches_per_segment_eigen_reference(case):
     for r, k in enumerate(range(3, 9)):
         ref = _eigen_reference(h, psi0, grid, deph, 13, k)
         assert np.max(np.abs(got[r] - ref)) < 1e-10
+
+
+def test_dephasing_block_makes_one_kernel_call_per_segment(monkeypatch):
+    # the grid rows inside a segment ride on its call, as columns beside its end
+    lat = uniform_lattice(41)
+    h = build_hamiltonian(lat)
+    psi0 = make_initial_state(SingleSite(20), 41)
+    grid = ZGrid(np.array([0.0, 0.3, 1.0, 1.7, 2.2, 2.5, 3.0]))
+    columns = []
+    apply = kernels.chebyshev_apply
+
+    def counting(*args, **kwargs):
+        columns.append(args[5].shape[1])
+        return apply(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "chebyshev_apply", counting)
+    got = _block(h, psi0, grid, DephasingSpec(1.0, 6.0), 4, 0, 5)
+    assert columns == [3, 2, 3]  # segment ends 1, 2 and 3 among the offsets
+    assert not np.any(np.isnan(got))
 
 
 def test_dephasing_block_size_does_not_change_histories():

@@ -24,7 +24,12 @@ from wavewalk import (
     uniform_lattice,
 )
 from wavewalk import kernels
-from wavewalk.propagators import _chebyshev_coefficients, _chebyshev_enclosure, chebyshev_rows
+from wavewalk.propagators import (
+    _chebyshev_coefficients,
+    _chebyshev_enclosure,
+    _chebyshev_table,
+    chebyshev_rows,
+)
 
 
 def _random_spec(n, seed, diag_w=1.0):
@@ -316,32 +321,30 @@ def test_chebyshev_light_cone_window_is_exact(launch, boundary, disordered):
     assert np.count_nonzero(got[-1]) == _WINDOW_N
 
 
-def _stacked_coefficients(halfwidth, zvals):
-    """The coefficients of each z as one column, zero-padded, and their counts."""
-    per_z = [_chebyshev_coefficients(halfwidth * z, 1e-12) for z in zvals]
-    terms = np.array([c.shape[0] for c in per_z])
-    coeffs = np.zeros((terms.max(), len(per_z)), dtype=np.complex128)
-    for j, c in enumerate(per_z):
-        coeffs[: c.shape[0], j] = c
-    return coeffs, terms
-
-
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
-@pytest.mark.parametrize("launch", ["centre", "two_site", "gaussian", "block"])
+@pytest.mark.parametrize("launch", ["centre", "two_site", "gaussian", "block", "noisy_block"])
 def test_one_recurrence_equals_one_call_per_column(launch, boundary):
     # every column of a 2-d call, z = 0 among them, has the bits of the 1-d
     # call on its own terms; by z = 80 the expansion wraps around the ring
     h = build_hamiltonian(_window_lattice(boundary, True))
+    center, halfwidth = _chebyshev_enclosure(h)
+    diag = h.diag
     if launch == "block":
+        psi = np.eye(5, _WINDOW_N, k=60)
+    elif launch == "noisy_block":
+        # a dephasing segment: one noisy diagonal per history, in the frame
+        # centred on the padded enclosure
+        center, halfwidth = _chebyshev_enclosure(h, pad=1.5)
+        noise = np.random.default_rng(2).uniform(-1.5, 1.5, size=(5, _WINDOW_N))
+        diag, center = h.diag - center + noise, 0.0
         psi = np.eye(5, _WINDOW_N, k=60)
     else:
         psi = make_initial_state(_WINDOW_LAUNCHES[launch], _WINDOW_N).amps
-    center, halfwidth = _chebyshev_enclosure(h)
-    coeffs, terms = _stacked_coefficients(halfwidth, [0.0, 0.5, 3.0, 12.0, 80.0])
+    coeffs, terms = _chebyshev_table(halfwidth * np.array([0.0, 0.5, 3.0, 12.0, 80.0]), 1e-12)
     assert terms[-1] > _WINDOW_N  # the light cone passes both ends
     for j, k in enumerate(terms):
         coeffs[k:, j] = 1.0 + 1.0j  # past the column's order: never to be read
-    args = (h.diag, h.offdiag, h.corner, center, halfwidth)
+    args = (diag, h.offdiag, h.corner, center, halfwidth)
     got = kernels.chebyshev_apply(*args, coeffs, psi, terms=terms)
     assert got.shape == (terms.size,) + psi.shape
     for j, k in enumerate(terms):
@@ -364,7 +367,7 @@ def test_chebyshev_rows_runs_one_recurrence_for_every_z(monkeypatch):
 
     monkeypatch.setattr(kernels, "chebyshev_apply", counting)
     chebyshev_rows(h, make_initial_state(SingleSite(100), _WINDOW_N).amps, zvals)
-    _, terms = _stacked_coefficients(halfwidth, zvals)
+    _, terms = _chebyshev_table(halfwidth * zvals, 1e-12)
     assert shapes == [(terms.max(), zvals.size)]
 
 
