@@ -1,21 +1,26 @@
-"""Compare the artifacts of two checkouts on the example configs.
+"""Compare the artifacts of two checkouts on the example configs and the
+benchmark workloads.
 
     python3 scripts/compare_runs.py OLD_ROOT NEW_ROOT
 
-Runs every ``configs/*.json`` of NEW_ROOT once with OLD_ROOT's ``src/`` and
-once with NEW_ROOT's, each in a fresh interpreter writing to a temporary
-directory, then prints one line per artifact: ``identical``, or the number
-of differing lines and the largest absolute difference over the numeric
-fields of those lines. Exits 1 if any artifact differs or any run fails.
+Runs every ``configs/*.json`` of NEW_ROOT, then the four benchmark workloads
+at seed 1 with configs built by NEW_ROOT's ``bench/workloads.py`` (read, not
+changed), once with OLD_ROOT's ``src/`` and once with NEW_ROOT's, each in a
+fresh interpreter writing to a temporary directory. It prints one line per
+artifact: ``identical``, or the number of differing lines and the largest
+absolute difference over the numeric fields of those lines. Exits 1 if any
+artifact differs or any run fails.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 
@@ -27,6 +32,21 @@ def _run(root: Path, config: Path, out: Path) -> str | None:
         env=env, capture_output=True, text=True,
     )
     return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr.strip()}"
+
+
+def _workload_configs(root: Path, tmp: Path) -> list[Path]:
+    """The benchmark workloads at seed 1, as config files written to ``tmp``.
+    ``root``'s ``bench/workloads.py`` is executed from its source text, so
+    no bytecode cache is written next to it."""
+    path = root / "bench" / "workloads.py"
+    workloads = types.ModuleType("workloads")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
+    configs = []
+    for name in workloads.WORKLOADS:
+        config = tmp / f"{name}.json"
+        config.write_text(json.dumps(workloads.config(workloads.params(name, 1), tmp / name)))
+        configs.append(config)
+    return configs
 
 
 def _max_abs_delta(a: str, b: str) -> float | None:
@@ -72,7 +92,7 @@ def main(argv: list[str]) -> int:
         return 2
     same = True
     with tempfile.TemporaryDirectory() as tmp:
-        for config in configs:
+        for config in configs + _workload_configs(new_root, Path(tmp)):
             outs = {side: Path(tmp) / side / config.stem for side in ("old", "new")}
             errors = [(side, _run(root, config, outs[side]))
                       for side, root in (("old", old_root), ("new", new_root))]

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensembles import _BLOCK, _n_segments
+from .ensembles import _BLOCK, _DISORDER_BLOCK, _n_segments
 from .lattice import (
     MAX_SITES,
     Boundary,
@@ -298,30 +298,30 @@ _MAX_CELLS = 10_000_000
 # Admitted maxima: configs/dephasing.json and the dephasing_ensemble workload
 # 2.0e8 (toy 9.7e7); ballistic_n10k 4.0e6 (toy 5.2e5), boundary_carpet 3.5e6
 # (toy 7.2e5), configs/boundary_sweep.json 2.9e6, configs/stress_n10000.json
-# 1.9e5; the other configs and workloads run no Chebyshev expansion
+# 1.9e5; disorder runs have their own budget, below
 _MAX_WORK = 500_000_000
 
 
-# budget on a disorder ensemble: per realization, N^3 for its diagonalization
-# and nz*N^2 for its phased products, plus this for its fixed cost (sampling,
-# building, the numpy calls: about 0.45 ms); one unit costs about 1 ns at
-# N = 99 on 2 cores (less at larger N), so the budget is about 5 s there.
-# configs/disorder.json and the disorder_ensemble workload estimate 2.1e9
-# (1.2-2 s), and acceptance criterion 4 1.5e9
-_REALIZATION_WORK = 500_000
-_MAX_DISORDER_WORK = 5_000_000_000
+# budget on a disorder ensemble: per block of _DISORDER_BLOCK realizations,
+# one launch's Chebyshev work with a row each, plus this per realization for
+# its fixed cost (about 95 us). A unit takes 1.3-4.5 ns on 2 cores, so the
+# budget is about 3-9 s: the disorder_ensemble workload and
+# configs/disorder.json estimate 1.0e9 (about 1.4 s), criterion 4 1.0e8
+_REALIZATION_WORK = 50_000
+_MAX_DISORDER_WORK = 2_000_000_000
 
 
 def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> None:
-    """Refuse a Chebyshev run whose estimated work is above _MAX_WORK, before
+    """Refuse a Chebyshev run whose estimated work is above its budget, before
     anything is allocated. The enclosure half-width is at most half the
     spread of the diagonal plus the largest disc radius, itself at most
-    ``hop``, plus half the dephasing noise."""
+    ``hop``, plus half the dephasing noise or the disorder's padding."""
     lattice, zgrid = cfg["lattice"], cfg["zgrid"]
     n, periodic = lattice["n_sites"], lattice["boundary"] == "periodic"
     spread = (float(np.mean(lattice["coupling"])) if minus_degree
               else float(np.ptp(lattice["beta"])))
     halfwidth = 0.5 * spread + hop
+    key, budget = "zgrid.stop", _MAX_WORK
     if cfg["experiment"] == "boundary_sweep":
         # one carpet block of every input at zgrid.stop, then the first input
         # over the whole grid
@@ -337,7 +337,7 @@ def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> N
         once = (_order_cap((halfwidth + 0.5 * deph["phase_strength"]) * dz)
                 * (min(nr, _BLOCK) * n + _STEP_SITES))
         work = -(-nr // _BLOCK) * (_n_segments(zgrid["stop"], dz) + zgrid["steps"]) * once
-    else:  # a launch, or the no-noise dephasing control
+    else:  # a launch, blocks of disorder realizations, or the no-noise dephasing control
         ini = cfg["initial_state"]
         if ini["kind"] == "single_site":
             a = b = ini["site"]
@@ -345,11 +345,22 @@ def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> N
             a, b = sorted(ini["sites"])
         else:  # a Gaussian launch may reach every site
             a, b = 0, n - 1
-        work = _chebyshev_work(n, periodic, a, b, 1, halfwidth, zvals, _MAX_WORK)
-    if work > _MAX_WORK:
-        _err(_join("zgrid", "stop"),
-             f"{zgrid['stop']!r} with {zgrid['steps']} steps needs Chebyshev work above "
-             f"the budget of {_MAX_WORK:.0e} site updates")
+        rows, blocks, fixed = 1, 1, 0
+        if cfg["experiment"] == "disorder":
+            # the ensemble's enclosure pads the clean one by W/2 and 2*w*C (in
+            # ``hop``), and by 2*w*C more under minus_degree_gamma
+            nr, dis = cfg["n_realizations"], cfg["disorder"]
+            halfwidth += 0.5 * dis["diag_strength"] + minus_degree * 2.0 * (
+                dis["offdiag_strength"] * float(np.max(lattice["coupling"])))
+            key, budget = "n_realizations", _MAX_DISORDER_WORK
+            rows, blocks = min(nr, _DISORDER_BLOCK), -(-nr // _DISORDER_BLOCK)
+            fixed = nr * _REALIZATION_WORK
+        work = fixed + blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zvals,
+                                                budget // blocks)
+    if work > budget:
+        runs = f"{cfg['n_realizations']} realizations to z = " if key == "n_realizations" else ""
+        _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
+             f"Chebyshev work above the budget of {budget:.0e} site updates")
 
 
 def load_config(raw: dict) -> ExperimentConfig:
@@ -458,19 +469,11 @@ def load_config(raw: dict) -> ExperimentConfig:
             _err("sweep.input_max", f"site {hi} outside lattice of {n_sites} sites")
 
     # resource bounds, checked before anything is allocated
-    eigen = experiment == "disorder" or (experiment == "ballistic" and prop["method"] == "eigen")
     eigen_bytes = (40 if periodic else 16) * n_sites ** 2
-    if eigen and eigen_bytes > _MAX_EIGEN_BYTES:
+    if experiment == "ballistic" and prop["method"] == "eigen" and eigen_bytes > _MAX_EIGEN_BYTES:
         _err("lattice.n_sites", f"{n_sites} sites need {eigen_bytes / 2 ** 20:.4g} MiB of "
              f"eigenvectors and solver workspace, above the eigen path's "
              f"{_MAX_EIGEN_BYTES // 2 ** 20} MiB")
-    if experiment == "disorder":
-        nr = cfg["n_realizations"]
-        work = nr * (n_sites ** 3 + zgrid["steps"] * n_sites ** 2 + _REALIZATION_WORK)
-        if work > _MAX_DISORDER_WORK:
-            _err("n_realizations", f"{nr} realizations of {n_sites} sites at {zgrid['steps']} "
-                 f"z values need work {work:.2g}, above the disorder budget of "
-                 f"{_MAX_DISORDER_WORK:.0e}")
     sweep = block.get("sweep")
     rows = zgrid["steps"] + (sweep["input_max"] - sweep["input_min"] + 1 if sweep else 0)
     if rows * n_sites > _MAX_CELLS:
@@ -488,7 +491,7 @@ def load_config(raw: dict) -> ExperimentConfig:
                else "lattice.beta" if site > hop else "lattice.coupling")
         _err(key, "the spectral bound |beta| + 2*coupling, widened by disorder, times "
              "max(2, zgrid.stop) overflows")
-    if (experiment in ("boundary_sweep", "dephasing")
+    if (experiment in ("boundary_sweep", "dephasing", "disorder")
             or (experiment == "ballistic" and prop["method"] == "chebyshev")):
         _check_chebyshev_work(cfg, zvals, hop, minus_degree)
 

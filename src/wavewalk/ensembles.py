@@ -8,11 +8,11 @@ runs: disorder adds one realization after another (a left fold); dephasing
 adds the sum over each block of ``_BLOCK`` consecutive histories, one block
 after another, which is not a left fold over histories.
 
-A dephasing block propagates as one (R, n) array: each noise segment is one
-light-cone Chebyshev call over all R histories, at the segment's end and at
-every grid point it meets, on the clean enclosure padded by the largest
-noise amplitude, which holds for every segment Hamiltonian. The no-noise
-control is one clean Chebyshev run, so no dephasing run diagonalizes.
+Both ensembles propagate blocks of R realizations as (R, n) arrays on the
+light-cone Chebyshev routine, on an enclosure padded to hold every
+realization: a disorder block in one call for every grid point, a dephasing
+block in one call per noise segment, at its end and at the grid points it
+meets. The no-noise dephasing control is one clean Chebyshev run.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import (
+    DiagConvention,
     Hamiltonian,
     InitialState,
     LatticeSpec,
@@ -39,7 +40,7 @@ from .propagators import (
     _light_cone_rows,
     decompose,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.decompose
     evolve_chebyshev,
-    evolve_eigen,
+    evolve_eigen,  # noqa: F401  unused here; bench/tracing.py wraps ensembles.evolve_eigen
 )
 
 ROW_SUM_TOL = 1e-8  # how far a mean intensity row may sum from 1
@@ -137,18 +138,20 @@ def sample_disordered_lattice(
     )
 
 
-def _reduce_ensemble(pairs, zgrid: ZGrid, n_realizations: int, n: int) -> EnsembleStats:
-    """Sum ``pairs`` of (grid rows, intensities), in the order given, into
-    ensemble statistics; intensities carry one realization per leading index,
-    and the pairs cover each grid row of all n_realizations exactly once."""
+def _reduce_ensemble(block_rows, block: int, zgrid: ZGrid, n_realizations: int, n: int):
+    """Sum into ensemble statistics, in the order given, the pairs of (grid
+    rows, intensities) that ``block_rows(lo, hi)`` yields for each run of
+    ``block`` consecutive realizations; intensities carry one realization per
+    leading index, and the pairs cover each grid row of every realization once."""
     nz = len(zgrid)
     # s, s^2 per site, variance and PR per row, each one running sum
     s, s2, var_sum, pr_sum = np.zeros((nz, n)), np.zeros((nz, n)), np.zeros(nz), np.zeros(nz)
-    for rows, inten in pairs:
-        s[rows] += np.sum(inten, axis=0)
-        s2[rows] += np.sum(inten * inten, axis=0)
-        var_sum[rows] += np.sum(spread_variance(inten), axis=0)
-        pr_sum[rows] += np.sum(participation_ratio(inten), axis=0)
+    for lo in range(0, n_realizations, block):
+        for rows, inten in block_rows(lo, min(lo + block, n_realizations)):
+            s[rows] += np.sum(inten, axis=0)
+            s2[rows] += np.sum(inten * inten, axis=0)
+            var_sum[rows] += np.sum(spread_variance(inten), axis=0)
+            pr_sum[rows] += np.sum(participation_ratio(inten), axis=0)
     nr = float(n_realizations)
     mean = s / nr
     if n_realizations > 1:
@@ -166,27 +169,46 @@ def _reduce_ensemble(pairs, zgrid: ZGrid, n_realizations: int, n: int) -> Ensemb
     )
 
 
-def run_ensemble(
-    base: LatticeSpec,
-    d: DisorderSpec,
-    init: InitialState,
-    zgrid: ZGrid,
-    n_realizations: int,
-    master_seed: int,
-) -> EnsembleStats:
-    """Evolve n_realizations disorder samples by exact diagonalization and
-    accumulate statistics."""
+_DISORDER_BLOCK = 32  # realizations per disorder block; a memory constant only
+
+
+def _disorder_block_rows(base: LatticeSpec, d: DisorderSpec, psi0: WaveFunction, zgrid: ZGrid,
+                         policy: SeedPolicy):
+    """The block function of a disorder ensemble: ``block_rows(k_lo, k_hi)``
+    propagates realizations k_lo..k_hi-1 in one light-cone call and yields
+    (every grid row, I of shape (1, nz, n_sites)) one realization at a time,
+    so the sums are a left fold whatever the block size. One enclosure serves
+    all: a realization's Gershgorin discs lie within the clean lattice's
+    widened by W/2 and by w*C per bond, and by 2*w*C more under
+    minus_degree_gamma, as its diagonal follows its own mean coupling."""
+    hop = 2.0 * d.offdiag_strength * float(np.max(base.coupling))
+    minus_degree = base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA
+    pad = 0.5 * d.diag_strength + (2.0 if minus_degree else 1.0) * hop
+    center, halfwidth = _chebyshev_enclosure(build_hamiltonian(base), pad=pad)
+    table, terms = _chebyshev_table(halfwidth * zgrid.values, _CHEBYSHEV_TOL)
+
+    def block_rows(k_lo: int, k_hi: int):
+        hs = [build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
+              for k in range(k_lo, k_hi)]
+        amps = _light_cone_rows(
+            np.array([h.diag for h in hs]), np.array([h.offdiag for h in hs]),
+            np.array([h.corner for h in hs]), center, halfwidth, table, terms,
+            np.tile(psi0.amps, (len(hs), 1)), zgrid.values)
+        for r in range(len(hs)):
+            yield slice(None), (np.abs(amps[:, r]) ** 2)[None]
+
+    return block_rows
+
+
+def run_ensemble(base: LatticeSpec, d: DisorderSpec, init: InitialState, zgrid: ZGrid,
+                 n_realizations: int, master_seed: int) -> EnsembleStats:
+    """Evolve n_realizations disorder samples, ``_DISORDER_BLOCK`` at a time
+    on the light-cone Chebyshev routine, and accumulate statistics."""
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    psi0 = make_initial_state(init, base.n_sites)
-    policy = SeedPolicy(master_seed)
-
-    def pairs():
-        for k in range(n_realizations):
-            h = build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
-            yield slice(None), evolve_eigen(h, psi0, zgrid).intensities()[None]
-
-    return _reduce_ensemble(pairs(), zgrid, n_realizations, base.n_sites)
+    block_rows = _disorder_block_rows(base, d, make_initial_state(init, base.n_sites), zgrid,
+                                      SeedPolicy(master_seed))
+    return _reduce_ensemble(block_rows, _DISORDER_BLOCK, zgrid, n_realizations, base.n_sites)
 
 
 _BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per grid row
@@ -239,7 +261,8 @@ def _dephasing_block_rows(
         psi = np.tile(psi0.amps, (len(rngs), 1))
         for met, offsets, end in segments:
             noisy = shifted + np.array([rng.uniform(-half, half, size=n) for rng in rngs])
-            amps = _light_cone_rows(h0, noisy, 0.0, halfwidth, *tables[offsets], psi, offsets)
+            amps = _light_cone_rows(noisy, h0.offdiag, h0.corner, 0.0, halfwidth,
+                                    *tables[offsets], psi, offsets)
             for row, j in met:
                 yield row, np.abs(amps[j]) ** 2
             psi = amps[end]
@@ -266,14 +289,8 @@ def _n_segments(zmax: float, segment_length: float) -> int:
     return n
 
 
-def evolve_dephasing(
-    base: LatticeSpec,
-    deph: DephasingSpec,
-    init: InitialState,
-    zgrid: ZGrid,
-    n_realizations: int,
-    master_seed: int,
-) -> EnsembleStats:
+def evolve_dephasing(base: LatticeSpec, deph: DephasingSpec, init: InitialState, zgrid: ZGrid,
+                     n_realizations: int, master_seed: int) -> EnsembleStats:
     """Ensemble of temporal-disorder histories (piecewise-constant diagonal noise).
 
     phase_strength = 0 short-circuits to a single clean Chebyshev run
@@ -292,6 +309,4 @@ def evolve_dephasing(
             sem_intensity=np.zeros_like(inten), variance_trace=spread_variance(inten),
             pr_trace=participation_ratio(inten))
     block_rows = _dephasing_block_rows(h0, psi0, zgrid, deph, n_segments, SeedPolicy(master_seed))
-    pairs = (pair for lo in range(0, n_realizations, _BLOCK)
-             for pair in block_rows(lo, min(lo + _BLOCK, n_realizations)))
-    return _reduce_ensemble(pairs, zgrid, n_realizations, base.n_sites)
+    return _reduce_ensemble(block_rows, _BLOCK, zgrid, n_realizations, base.n_sites)

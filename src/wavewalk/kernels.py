@@ -3,10 +3,10 @@
 All kernels are vectorized numpy, one algorithm each for every input (the
 Bessel sequence is Miller's recurrence at every x > 0). The matvec and the
 Chebyshev recurrence act on the last axis, so a block of states (one per row,
-each with its own diagonal row) runs as one call and every row gives the bits
-of the 1-d call. One Chebyshev recurrence also serves several coefficient
-sets (one per propagation distance, as columns), each with the bits of its
-own call.
+each with its own diagonal, couplings and ring corner, or sharing them) runs
+as one call and every row gives the bits of the 1-d call. One Chebyshev
+recurrence also serves several coefficient sets (one per propagation
+distance, as columns), each with the bits of its own call.
 Callers look the kernels up through this module (``kernels.<name>``), so
 they can be swapped at runtime, for instance by a tracer.
 """
@@ -29,12 +29,12 @@ def backend() -> str:
 
 def tridiag_matvec(diag, off, corner, x):
     """y = H x along the last axis of x, for H real symmetric tridiagonal;
-    corner couples sites 0 and n-1. ``diag`` may carry one row per leading
-    index of x (a block of Hamiltonians sharing off and corner)."""
+    corner couples sites 0 and n-1. ``diag``, ``off`` and ``corner`` may each
+    carry one entry per leading index of x (a block of Hamiltonians)."""
     y = diag * x
     y[..., :-1] += off * x[..., 1:]
     y[..., 1:] += off * x[..., :-1]
-    if corner != 0.0:
+    if isinstance(corner, np.ndarray) or corner != 0.0:  # a per-row corner always applies
         y[..., 0] += corner * x[..., -1]
         y[..., -1] += corner * x[..., 0]
     return y

@@ -1,13 +1,13 @@
 """Propagators: psi(z) = exp(-iHz) psi(0) by three independent routes.
 
-* evolve_eigen — exact spectral decomposition; the reference method
-  (lattices here are small enough to diagonalize outright).
+* evolve_eigen — exact spectral decomposition; the reference method, which
+  no ensemble calls.
 * evolve_chebyshev — Chebyshev polynomial expansion of exp(-iHz) on the
   spectrum rescaled to [-1, 1]; the scalable path for ~10^4 sites, one call
   of chebyshev_rows, which propagates a state or a block of them (the
   boundary-sweep carpet) on their light-cone window, with one recurrence for
-  every z of the call. Each dephasing segment is one call of the same
-  light-cone routine, with one noisy diagonal per history.
+  every z of the call. Each dephasing segment and each block of disorder
+  realizations is one call of the same light-cone routine.
 * evolve_ode_oracle — fixed-step RK4 on i dpsi/dz = H psi; slow, used as an
   independent cross-check in tests only.
 """
@@ -243,27 +243,28 @@ def _chebyshev_work(n: int, periodic: bool, a: int, b: int, rows: int, halfwidth
     return work
 
 
-def _light_cone_rows(h: Hamiltonian, diag, center: float, halfwidth: float, table, terms,
+def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table, terms,
                      rows: np.ndarray, zvals) -> np.ndarray:
-    """exp(-iH'z) ``rows`` (a state of n sites, or a block) at each z of
-    ``zvals``, stacked on a new first axis; H' has the couplings of ``h`` and
-    the diagonal ``diag`` (shared, or one row per state). Column j of ``table``
+    """exp(-iHz) ``rows`` (a state of n sites, or a block) at each z of
+    ``zvals``, stacked on a new first axis; H's ``diag``, couplings ``off`` and
+    ring ``corner`` are each shared or one per state. Column j of ``table``
     holds the terms[j] coefficients at halfwidth*zvals[j]; ``terms`` must not
     fall. One recurrence serves every z, on the light-cone window of the rows'
     joint support at the largest order: sites outside a z's own light cone
     stay exactly 0, and inside it the bits are those of the whole lattice."""
-    support = np.flatnonzero(np.any(rows.reshape(-1, h.n_sites) != 0.0, axis=0))
+    n, periodic = rows.shape[-1], bool(np.any(corner != 0.0))
+    support = np.flatnonzero(np.any(rows.reshape(-1, n) != 0.0, axis=0))
     a, b = int(support[0]), int(support[-1])
-    lo, hi, wraps = _light_cone_window(h.n_sites, h.is_periodic, a, b, terms[-1] - 1)
+    lo, hi, wraps = _light_cone_window(n, periodic, a, b, terms[-1] - 1)
     out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)
     kernels.chebyshev_apply(
-        diag[..., lo:hi], h.offdiag[lo : hi - 1], h.corner if wraps else 0.0, center, halfwidth,
+        diag[..., lo:hi], off[..., lo : hi - 1], corner if wraps else 0.0, center, halfwidth,
         table, rows[..., lo:hi], terms=terms, out=out[..., lo:hi],
     )
     for amps, z, k in zip(out, zvals, terms):
         # outside this z's own window lies exactly 0 up to its sign; inside it
-        # the recurrence expanded exp(-i(H' - center)z), so the centre returns as a phase
-        zlo, zhi, _ = _light_cone_window(h.n_sites, h.is_periodic, a, b, k - 1)
+        # the recurrence expanded exp(-i(H - center)z), so the centre returns as a phase
+        zlo, zhi, _ = _light_cone_window(n, periodic, a, b, k - 1)
         amps[..., lo:zlo] = 0.0
         amps[..., zhi:hi] = 0.0
         inside = amps[..., zlo:zhi]
@@ -277,7 +278,8 @@ def chebyshev_rows(h: Hamiltonian, rows: np.ndarray, zvals,
     not fall), on the whole lattice's enclosure: one ``_light_cone_rows`` call."""
     center, halfwidth = _chebyshev_enclosure(h)
     table, terms = _chebyshev_table(halfwidth * np.asarray(zvals), tol)
-    return _light_cone_rows(h, h.diag, center, halfwidth, table, terms, rows, zvals)
+    return _light_cone_rows(h.diag, h.offdiag, h.corner, center, halfwidth, table, terms,
+                            rows, zvals)
 
 
 def evolve_chebyshev(

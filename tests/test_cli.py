@@ -520,13 +520,20 @@ def test_workers_variable_is_ignored(tmp_path):
     # the no-noise control: one clean launch
     {"experiment": "dephasing", "lattice": {"n_sites": 301}, "zgrid": {"stop": 20.0, "steps": 5},
      "dephasing": {"segment_length": 0.5, "phase_strength": 0.0}, "n_realizations": 5},
-], ids=["two_site", "ring", "boundary_sweep", "dephasing", "dephasing_ring", "dephasing_control"])
+    # two blocks of realizations, the second partly filled, under their own
+    # budget, which adds a fixed cost per realization
+    {"experiment": "disorder", "lattice": {"n_sites": 41}, "zgrid": {"stop": 20.0, "steps": 5},
+     "disorder": {"offdiag_strength": 0.5, "diag_strength": 1.0}, "n_realizations": 40},
+], ids=["two_site", "ring", "boundary_sweep", "dephasing", "dephasing_ring", "dephasing_control",
+        "disorder"])
 def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     # the loader takes every expansion at its order ceiling, so its estimate
     # bounds the site updates the run performs, here within a factor of 10;
     # 20 for dephasing, whose estimate also takes one expansion per grid point
     # and every block of histories full
     factor = 20 if payload["experiment"] == "dephasing" else 10
+    budget, key = (("_MAX_DISORDER_WORK", "n_realizations") if payload["experiment"] == "disorder"
+                   else ("_MAX_WORK", "zgrid.stop"))
     cfg = config.load_config(payload)
     done = []
     apply = kernels.chebyshev_apply
@@ -539,10 +546,10 @@ def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
 
     monkeypatch.setattr(kernels, "chebyshev_apply", counting)
     run_experiment(cfg, output_dir=str(tmp_path))
-    monkeypatch.setattr(config, "_MAX_WORK", sum(done) - 1)
-    with pytest.raises(config.ConfigError, match="zgrid.stop"):
+    monkeypatch.setattr(config, budget, sum(done) - 1)
+    with pytest.raises(config.ConfigError, match=key):
         config.load_config(payload)
-    monkeypatch.setattr(config, "_MAX_WORK", factor * sum(done))
+    monkeypatch.setattr(config, budget, factor * sum(done))
     config.load_config(payload)
 
 
@@ -565,8 +572,13 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         "experiment": "dephasing", "lattice": {"n_sites": 400},
         "zgrid": {"stop": 20.0, "steps": 21},
         "dephasing": {"segment_length": 0.5, "phase_strength": 0.0}, "n_realizations": 3})
+    # two blocks of disorder realizations on a ring, the second partly filled
+    disorder = _write_cfg(tmp_path, "disorder_small.json", {
+        "experiment": "disorder", "lattice": {"n_sites": 60, "boundary": "periodic"},
+        "zgrid": {"stop": 10.0, "steps": 11},
+        "disorder": {"offdiag_strength": 0.5, "diag_strength": 1.0}, "n_realizations": 40})
     names = ("classical", "dephasing", "boundary_sweep", "stress_n10000")
-    configs = [CONFIGS / f"{name}.json" for name in names] + [control]
+    configs = [CONFIGS / f"{name}.json" for name in names] + [control, disorder]
     files = {}
     for threads in ("1", "2", "4"):
         out = tmp_path / f"threads_{threads}"
@@ -575,7 +587,7 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):
         assert run.returncode == 0, run.stderr
         files[threads] = {str(path.relative_to(out)): path.read_bytes()
                           for path in sorted(out.rglob("*")) if path.suffix in (".csv", ".pgm")}
-    assert {name.split("/")[0] for name in files["1"]} == {*names, "control"}
+    assert {name.split("/")[0] for name in files["1"]} == {*names, "control", "disorder_small"}
     for threads in ("2", "4"):
         assert files[threads].keys() == files["1"].keys()
         assert [name for name in files["1"] if files[threads][name] != files["1"][name]] == [], \
@@ -601,7 +613,7 @@ configs, out = Path(sys.argv[1]), Path(sys.argv[2])
 for path in sorted(configs.glob("*.json")):
     wavewalk.validate_config(path)
     assert not scipy_loaded(), ("validate", path.name, scipy_loaded())
-for name in ("stress_n10000", "dephasing", "boundary_sweep"):
+for name in ("stress_n10000", "dephasing", "boundary_sweep", "disorder"):
     assert main(["simulate", str(configs / f"{name}.json"), "--output-dir", str(out / name)]) == 0
     assert not scipy_loaded(), ("simulate", name, scipy_loaded())
 for which in ("bessel", "images"):
@@ -610,7 +622,7 @@ for which in ("bessel", "images"):
 """
     run = _fresh_python("-c", code, CONFIGS, tmp_path)
     assert run.returncode == 0, run.stderr
-    assert len(list(tmp_path.iterdir())) == 3
+    assert len(list(tmp_path.iterdir())) == 4
 
 
 def test_deferred_scipy_imports_resolve(tmp_path):
@@ -623,14 +635,15 @@ for path, module in zip(sys.argv[1:], ("scipy.linalg", "scipy.special")):
     assert module in scipy_loaded(), (path, scipy_loaded())
 """
     small = {"lattice": {"n_sites": 41}, "zgrid": {"stop": 2.0, "steps": 3}}
-    disorder = _write_cfg(tmp_path, "d.json", {
-        **small, "experiment": "disorder", "disorder": {"offdiag_strength": 0.5},
-        "n_realizations": 4, "output": {"directory": str(tmp_path / "d")}})
+    # the eigen path diagonalizes the open chain with scipy's eigh_tridiagonal
+    eigen = _write_cfg(tmp_path, "e.json", {
+        **small, "experiment": "ballistic", "propagator": {"method": "eigen"},
+        "output": {"directory": str(tmp_path / "e")}})
     classical = _write_cfg(tmp_path, "c.json", {
         **small, "experiment": "classical", "output": {"directory": str(tmp_path / "c")}})
-    run = _fresh_python("-c", code, disorder, classical)
+    run = _fresh_python("-c", code, eigen, classical)
     assert run.returncode == 0, run.stderr
-    assert (tmp_path / "d" / "intensity.csv").is_file()
+    assert (tmp_path / "e" / "intensity.csv").is_file()
     assert (tmp_path / "c" / "intensity.csv").is_file()
 
 

@@ -26,8 +26,8 @@ from wavewalk import (
     sample_disordered_lattice,
     uniform_lattice,
 )
-from wavewalk import kernels
-from wavewalk.ensembles import _BLOCK, _dephasing_block_rows
+from wavewalk import ensembles, kernels
+from wavewalk.ensembles import _BLOCK, _dephasing_block_rows, _disorder_block_rows
 
 
 BASE = uniform_lattice(99)
@@ -78,21 +78,22 @@ def test_diag_disorder_range():
 def test_single_clean_realization_equals_direct_evolution():
     grid = ZGrid(np.array([0.0, 5.0, 15.0]))
     stats = run_ensemble(BASE, DisorderSpec(0.0, 0.0), SingleSite(49), grid, 1, 7)
-    snap = evolve_eigen(build_hamiltonian(BASE), make_initial_state(SingleSite(49), 99), grid)
+    snap = evolve_chebyshev(build_hamiltonian(BASE), make_initial_state(SingleSite(49), 99), grid)
     assert np.array_equal(stats.mean_intensity, snap.intensities())
     assert np.all(stats.sem_intensity == 0.0)
 
 
 def test_ensemble_equals_sequential_left_fold():
-    # a disorder ensemble adds its realizations to the running sum in order
+    # a disorder ensemble adds its realizations to the running sum in order;
+    # each realization's rows are the engine's, propagated on their own
     grid = ZGrid(np.array([4.0, 11.0]))
     d = DisorderSpec(0.4, 0.0)
-    policy = SeedPolicy(99)
+    block_rows = _disorder_block_rows(BASE, d, make_initial_state(SingleSite(49), 99), grid,
+                                      SeedPolicy(99))
 
     def one(k):
-        spec = sample_disordered_lattice(BASE, d, policy, k)
-        return evolve_eigen(build_hamiltonian(spec),
-                            make_initial_state(SingleSite(49), 99), grid).intensities()
+        [(rows, inten)] = block_rows(k, k + 1)
+        return inten[0]
 
     for n in (3, 6, 130):
         acc = np.zeros((2, 99))
@@ -100,6 +101,50 @@ def test_ensemble_equals_sequential_left_fold():
             acc += one(k)
         stats = run_ensemble(BASE, d, SingleSite(49), grid, n, 99)
         assert np.array_equal(stats.mean_intensity, acc / n)
+
+
+_RNG_D = np.random.default_rng(21)
+DISORDER_CASES = {
+    "open_chain": (uniform_lattice(40), DisorderSpec(0.5, 0.0), SingleSite(20)),
+    # the ring's corner coupling is disordered too, and the window wraps
+    "ring": (uniform_lattice(30, boundary=Boundary.PERIODIC), DisorderSpec(0.5, 0.0),
+             SingleSite(3)),
+    "random_beta": (LatticeSpec(35, _RNG_D.uniform(0.6, 1.4, size=34),
+                                _RNG_D.uniform(-1.0, 1.0, size=35)),
+                    DisorderSpec(0.3, 2.0), SingleSite(17)),
+    # each realization's diagonal follows its own mean coupling
+    "minus_degree_gamma": (uniform_lattice(33, coupling=1.3,
+                                           diag_convention=DiagConvention.MINUS_DEGREE_GAMMA),
+                           DisorderSpec(0.6, 0.0), SingleSite(0)),
+    "gaussian_launch": (uniform_lattice(41), DisorderSpec(0.4, 1.0), GaussianBeam(20.0, 2.5, 0.7)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISORDER_CASES))
+def test_disorder_block_matches_eigen_per_realization(case):
+    lat, d, init = DISORDER_CASES[case]
+    grid = ZGrid(np.array([0.0, 0.7, 3.0, 9.0, 25.0]))
+    psi0 = make_initial_state(init, lat.n_sites)
+    policy = SeedPolicy(31)
+    got = list(_disorder_block_rows(lat, d, psi0, grid, policy)(2, 9))
+    assert len(got) == 7
+    for k, (rows, inten) in zip(range(2, 9), got):
+        h = build_hamiltonian(sample_disordered_lattice(lat, d, policy, k))
+        ref = evolve_eigen(h, psi0, grid).intensities()
+        assert rows == slice(None) and inten.shape == (1,) + ref.shape
+        assert np.max(np.abs(inten[0] - ref)) < 1e-12, k
+
+
+def test_disorder_block_size_does_not_change_statistics(monkeypatch):
+    lat, d, init = DISORDER_CASES["random_beta"]
+    grid = ZGrid(np.linspace(0.0, 6.0, 7))
+    stats = []
+    for block in (1, 7, 32):
+        monkeypatch.setattr(ensembles, "_DISORDER_BLOCK", block)
+        stats.append(run_ensemble(lat, d, init, grid, 45, 3))
+    for other in stats[1:]:
+        for name in ("mean_intensity", "sem_intensity", "variance_trace", "pr_trace"):
+            assert np.array_equal(getattr(other, name), getattr(stats[0], name)), name
 
 
 def test_dephasing_ensemble_sums_block_by_block():

@@ -91,5 +91,24 @@ def test_numpy_kernels_act_row_by_row_on_a_block(corner):
         )
 
 
+def test_numpy_kernels_take_couplings_and_corners_row_by_row():
+    # a block of Hamiltonians, each with its own couplings and ring corner
+    # (0 for an open chain among rings), equals the 1-d calls, bit for bit
+    n, rows = 40, 5
+    r = rng(8)
+    diag = r.normal(size=(rows, n))
+    off = r.uniform(0.5, 1.5, size=(rows, n - 1))
+    corner = np.array([0.7, 0.0, 1.2, 0.4, 0.9])
+    x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
+    coeffs = r.normal(size=12) + 1j * r.normal(size=12)
+    y = kernels.tridiag_matvec(diag, off, corner, x)
+    acc = kernels.chebyshev_apply(diag, off, corner, 0.3, 5.0, coeffs, x)
+    for i in range(rows):
+        assert np.array_equal(y[i], kernels.tridiag_matvec(diag[i], off[i], corner[i], x[i]))
+        assert np.array_equal(
+            acc[i], kernels.chebyshev_apply(diag[i], off[i], corner[i], 0.3, 5.0, coeffs, x[i])
+        )
+
+
 def test_active_backend_reported():
     assert kernels.backend() == "numpy"
