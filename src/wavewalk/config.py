@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensembles import _BLOCK, _DISORDER_BLOCK, _n_segments
+from .ensembles import _BLOCK, _disorder_block, _n_segments
 from .lattice import (
     MAX_SITES,
     Boundary,
@@ -302,12 +302,16 @@ _MAX_CELLS = 10_000_000
 _MAX_WORK = 500_000_000
 
 
-# budget on a disorder ensemble: per block of _DISORDER_BLOCK realizations,
-# one launch's Chebyshev work with a row each, plus this per realization for
-# its fixed cost (about 95 us). A unit takes 1.3-4.5 ns on 2 cores, so the
-# budget is about 3-9 s: the disorder_ensemble workload and
-# configs/disorder.json estimate 1.0e9 (about 1.4 s), criterion 4 1.0e8
+# budget on a disorder ensemble: per block of realizations (_disorder_block),
+# one launch's Chebyshev work with a row each; per realization, this for its
+# fixed cost (about 100 us), and _CELL_WORK per site and grid point (plus two)
+# for its sampling, intensities and reduction (25-57 ns each). A unit takes
+# 1.2-5 ns on 2 cores, so the budget is at most about 10 s: the
+# disorder_ensemble workload and configs/disorder.json estimate 1.1e9 (about
+# 1.6 s), criterion 4 1.0e8. Its unit is the launch's site update, but a
+# block's update costs less than a launch's 10 ns, hence its own ceiling
 _REALIZATION_WORK = 50_000
+_CELL_WORK = 12
 _MAX_DISORDER_WORK = 2_000_000_000
 
 
@@ -353,14 +357,15 @@ def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> N
             halfwidth += 0.5 * dis["diag_strength"] + minus_degree * 2.0 * (
                 dis["offdiag_strength"] * float(np.max(lattice["coupling"])))
             key, budget = "n_realizations", _MAX_DISORDER_WORK
-            rows, blocks = min(nr, _DISORDER_BLOCK), -(-nr // _DISORDER_BLOCK)
-            fixed = nr * _REALIZATION_WORK
+            rows = min(nr, _disorder_block(n, len(zvals)))
+            blocks = -(-nr // rows)
+            fixed = nr * (_REALIZATION_WORK + _CELL_WORK * (len(zvals) + 2) * n)
         work = fixed + blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zvals,
                                                 budget // blocks)
     if work > budget:
         runs = f"{cfg['n_realizations']} realizations to z = " if key == "n_realizations" else ""
         _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
-             f"Chebyshev work above the budget of {budget:.0e} site updates")
+             f"work above the budget of {budget:.0e} site updates")
 
 
 def load_config(raw: dict) -> ExperimentConfig:

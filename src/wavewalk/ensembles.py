@@ -169,7 +169,17 @@ def _reduce_ensemble(block_rows, block: int, zgrid: ZGrid, n_realizations: int, 
     )
 
 
-_DISORDER_BLOCK = 32  # realizations per disorder block; a memory constant only
+_DISORDER_BLOCK = 32  # most realizations per disorder block; a memory constant only
+# most complex cells a disorder block holds (16 MB): nz + 4 per site and
+# realization, its states at every z, its initial rows, and its lattice,
+# Hamiltonian and stacked diagonal and couplings
+_BLOCK_CELLS = 1_000_000
+
+
+def _disorder_block(n: int, nz: int) -> int:
+    """Realizations per disorder block on n sites and nz grid points:
+    _DISORDER_BLOCK, fewer where the block would pass _BLOCK_CELLS."""
+    return max(1, min(_DISORDER_BLOCK, _BLOCK_CELLS // ((nz + 4) * n)))
 
 
 def _disorder_block_rows(base: LatticeSpec, d: DisorderSpec, psi0: WaveFunction, zgrid: ZGrid,
@@ -200,15 +210,22 @@ def _disorder_block_rows(base: LatticeSpec, d: DisorderSpec, psi0: WaveFunction,
     return block_rows
 
 
-def run_ensemble(base: LatticeSpec, d: DisorderSpec, init: InitialState, zgrid: ZGrid,
-                 n_realizations: int, master_seed: int) -> EnsembleStats:
-    """Evolve n_realizations disorder samples, ``_DISORDER_BLOCK`` at a time
-    on the light-cone Chebyshev routine, and accumulate statistics."""
+def run_ensemble(
+    base: LatticeSpec,
+    d: DisorderSpec,
+    init: InitialState,
+    zgrid: ZGrid,
+    n_realizations: int,
+    master_seed: int,
+) -> EnsembleStats:
+    """Evolve n_realizations disorder samples, a block of them at a time on
+    the light-cone Chebyshev routine, and accumulate statistics."""
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     block_rows = _disorder_block_rows(base, d, make_initial_state(init, base.n_sites), zgrid,
                                       SeedPolicy(master_seed))
-    return _reduce_ensemble(block_rows, _DISORDER_BLOCK, zgrid, n_realizations, base.n_sites)
+    return _reduce_ensemble(block_rows, _disorder_block(base.n_sites, len(zgrid)), zgrid,
+                            n_realizations, base.n_sites)
 
 
 _BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per grid row
@@ -289,8 +306,14 @@ def _n_segments(zmax: float, segment_length: float) -> int:
     return n
 
 
-def evolve_dephasing(base: LatticeSpec, deph: DephasingSpec, init: InitialState, zgrid: ZGrid,
-                     n_realizations: int, master_seed: int) -> EnsembleStats:
+def evolve_dephasing(
+    base: LatticeSpec,
+    deph: DephasingSpec,
+    init: InitialState,
+    zgrid: ZGrid,
+    n_realizations: int,
+    master_seed: int,
+) -> EnsembleStats:
     """Ensemble of temporal-disorder histories (piecewise-constant diagonal noise).
 
     phase_strength = 0 short-circuits to a single clean Chebyshev run

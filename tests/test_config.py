@@ -362,8 +362,9 @@ OVERSIZED = [
     # 10^11 output cells, 745 GiB of probabilities
     ({"experiment": "classical", "lattice": {"n_sites": 100_000},
       "zgrid": {"stop": 1.0, "steps": 1_000_000}}, "zgrid.steps"),
-    # disorder work above the budget: one block of 32 realizations of 4 000
-    # sites to z = 300, estimated at 4.3e9 and measured at 19 s on 2 cores
+    # disorder work above the budget: 32 realizations of 4 000 sites to z = 300,
+    # in blocks of 2, estimated at 4.6e9 and measured at 17 s on 2 cores
+    # (extrapolated from 4)
     ({"experiment": "disorder", "lattice": {"n_sites": 4000},
       "zgrid": {"stop": 300.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 32}, "n_realizations"),
@@ -394,6 +395,16 @@ OVERSIZED = [
     # the carpet rows count as output rows
     ({"experiment": "boundary_sweep", "lattice": {"n_sites": 9000}, "zgrid": {"stop": 1.0},
       "sweep": {"input_min": 0, "input_max": 1100}}, "zgrid.steps"),
+    # disorder runs whose sampling, intensities and reduction on every site
+    # and grid point dominate: 32 realizations of 10^7 sites at one z, and
+    # 1 280 of 10^5 sites at 100 z, at 0.6-0.7 s each on 2 cores (the first
+    # extrapolated from 10^6 sites)
+    ({"experiment": "disorder", "lattice": {"n_sites": 10_000_000},
+      "zgrid": {"stop": 1.0, "steps": 1}, "disorder": {"offdiag_strength": 0.5},
+      "n_realizations": 32}, "n_realizations"),
+    ({"experiment": "disorder", "lattice": {"n_sites": 100_000},
+      "zgrid": {"stop": 1.0, "steps": 100}, "disorder": {"offdiag_strength": 0.5},
+      "n_realizations": 1280}, "n_realizations"),
 ]
 
 

@@ -27,7 +27,13 @@ from wavewalk import (
     uniform_lattice,
 )
 from wavewalk import ensembles, kernels
-from wavewalk.ensembles import _BLOCK, _dephasing_block_rows, _disorder_block_rows
+from wavewalk.ensembles import (
+    _BLOCK,
+    _BLOCK_CELLS,
+    _dephasing_block_rows,
+    _disorder_block,
+    _disorder_block_rows,
+)
 
 
 BASE = uniform_lattice(99)
@@ -145,6 +151,16 @@ def test_disorder_block_size_does_not_change_statistics(monkeypatch):
     for other in stats[1:]:
         for name in ("mean_intensity", "sem_intensity", "variance_trace", "pr_trace"):
             assert np.array_equal(getattr(other, name), getattr(stats[0], name)), name
+
+
+def test_disorder_block_shrinks_on_large_lattices():
+    # 32 realizations where a block is small, fewer down to one where its
+    # (nz + 4) complex cells per site and realization would pass _BLOCK_CELLS
+    assert _disorder_block(99, 61) == 32
+    assert _disorder_block(4000, 101) == 2
+    assert _disorder_block(100_000, 100) == _disorder_block(10_000_000, 1) == 1
+    for n, nz in ((99, 61), (4000, 101), (2000, 201), (500, 1)):
+        assert _disorder_block(n, nz) * (nz + 4) * n <= _BLOCK_CELLS
 
 
 def test_dephasing_ensemble_sums_block_by_block():
