@@ -10,7 +10,8 @@ nothing: its carpet is one ``chebyshev_rows`` call on the unit inputs at
 the final z, and its z-resolved rows come from ``evolve_chebyshev``.
 
 Exit codes: 0 success, 2 config error (naming the config key, the oracle
-flag, or the output directory that cannot be created), 3 numerical failure.
+flag, or the output directory or artifact that cannot be created or
+written), 3 numerical failure.
 All floats are serialized with 17 significant digits, so identical configs
 and seeds give byte-identical files on any machine with the same
 floating-point behavior.
@@ -95,11 +96,17 @@ def _write_pgm(path: Path, rows: np.ndarray) -> None:
 def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path:
     """Execute the configured experiment and write its artifact files."""
     out = Path(output_dir if output_dir is not None else cfg.output["directory"])
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        key = "--output-dir" if output_dir is not None else "output.directory"
-        raise ConfigError(f"{key}: cannot create directory {str(out)!r}: {exc.strerror}") from exc
+    key = "--output-dir" if output_dir is not None else "output.directory"
+
+    def write(name: str, writer, *args, **kwargs) -> None:
+        """``writer(out / name, ...)``; an OSError is a config error naming the key."""
+        try:
+            writer(out / name, *args, **kwargs)
+        except OSError as exc:
+            raise ConfigError(f"{key}: cannot create or write {str(out / name)!r}: "
+                              f"{exc.strerror or exc}") from exc
+
+    write("", Path.mkdir, parents=True, exist_ok=True)
     formats = cfg.output["formats"]
     lattice = cfg.lattice_spec()
     zgrid = cfg.zgrid_obj()
@@ -154,27 +161,20 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
     nerr = np.abs(np.sum(intensities, axis=1) - 1.0)
 
     if "csv" in formats:
-        _write_matrix_csv(
-            out / "intensity.csv", "z", zvals, intensities,
-            comment=f"row probability sum tolerance: {ROW_SUM_TOL:g}",
-        )
-        _write_observables_csv(out / "observables.csv", zvals, var, pr, nerr)
+        write("intensity.csv", _write_matrix_csv, "z", zvals, intensities,
+              comment=f"row probability sum tolerance: {ROW_SUM_TOL:g}")
+        write("observables.csv", _write_observables_csv, zvals, var, pr, nerr)
         if carpet is not None:
             lo, hi = cfg.sweep["input_min"], cfg.sweep["input_max"]
-            _write_matrix_csv(
-                out / "carpet.csv", "input_site",
-                np.arange(lo, hi + 1, dtype=float), carpet,
-                comment=f"output intensity at z={_fmt(zvals[-1])} per input site",
-            )
+            write("carpet.csv", _write_matrix_csv, "input_site",
+                  np.arange(lo, hi + 1, dtype=float), carpet,
+                  comment=f"output intensity at z={_fmt(zvals[-1])} per input site")
     if "pgm" in formats and carpet is not None:
-        _write_pgm(out / "carpet.pgm", carpet)
+        write("carpet.pgm", _write_pgm, carpet)
     if "json" in formats:
-        doc = cfg.to_dict()
-        doc["version"] = __version__
-        doc["backend"] = kernels.backend()
-        with open(out / "run.json", "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        doc = {**cfg.to_dict(), "version": __version__, "backend": kernels.backend()}
+        write("run.json", Path.write_text, json.dumps(doc, indent=2, sort_keys=True) + "\n",
+              encoding="utf-8", newline="\n")
 
     tau = lattice.mean_coupling * zvals[-1]
     print(

@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensembles import _BLOCK, _disorder_block, _n_segments
+from .ensembles import _BLOCK, _disorder_block, _disorder_pad, _plan_segments
 from .lattice import (
     MAX_SITES,
     Boundary,
@@ -31,14 +31,7 @@ from .lattice import (
     TwoSite,
     _gaussian_envelope,
 )
-from .propagators import (
-    _CHEBYSHEV_TOL,
-    _MAX_CHEBYSHEV_TOL,
-    _STEP_SITES,
-    ZGrid,
-    _chebyshev_work,
-    _order_cap,
-)
+from .propagators import _CHEBYSHEV_TOL, _MAX_CHEBYSHEV_TOL, ZGrid, _chebyshev_work
 
 
 class ConfigError(ValueError):
@@ -190,6 +183,8 @@ def _value(kind: str, v, path: str, bounds=()):
         _err(path, f"expected {name}, got {v!r}")
     x = v
     if kind == "float":
+        if isinstance(v, float):  # numpy's float64 too, which resolves as a Python float
+            v = float(v)
         x = float(v) if abs(v) < 2 ** 1024 else math.inf
         if not math.isfinite(x):
             _err(path, f"must be finite, got {v!r}")
@@ -292,78 +287,72 @@ _MAX_EIGEN_BYTES = 2 ** 29
 # have at most 1.01e6 (ballistic_n10k)
 _MAX_CELLS = 10_000_000
 
-# budget on the Chebyshev work of a ballistic, boundary-sweep or dephasing run,
-# in site updates (_chebyshev_work): at most about 5 s at the 10 ns each that a
-# run of mostly recurrence steps takes on 2 cores (window updates take less).
-# Admitted maxima: configs/dephasing.json and the dephasing_ensemble workload
-# 2.0e8 (toy 9.7e7); ballistic_n10k 4.0e6 (toy 5.2e5), boundary_carpet 3.5e6
-# (toy 7.2e5), configs/boundary_sweep.json 2.9e6, configs/stress_n10000.json
-# 1.9e5; disorder runs have their own budget, below
+# budgets on the Chebyshev work of a run, in site updates: the sum of
+# _chebyshev_work over the light-cone calls its engine makes
+# (_check_chebyshev_work). A launch's unit takes at most about 10 ns on 2
+# cores (window updates take less), so this bounds a ballistic, boundary-sweep
+# or dephasing run at about 5 s. Admitted maxima: configs/dephasing.json and
+# the dephasing_ensemble workload 1.9e8 (toy 8.5e7); ballistic_n10k 4.0e6
+# (toy 5.2e5), boundary_carpet 3.5e6 (toy 7.2e5), configs/boundary_sweep.json
+# 2.9e6, configs/stress_n10000.json 1.9e5
 _MAX_WORK = 500_000_000
 
 
-# budget on a disorder ensemble: per block of realizations (_disorder_block),
-# one launch's Chebyshev work with a row each; per realization, this for its
-# fixed cost (about 100 us), and _CELL_WORK per site and grid point (plus two)
-# for its sampling, intensities and reduction (25-57 ns each). A unit takes
-# 1.2-5 ns on 2 cores, so the budget is at most about 10 s: the
-# disorder_ensemble workload and configs/disorder.json estimate 1.1e9 (about
-# 1.6 s), criterion 4 1.0e8. Its unit is the launch's site update, but a
-# block's update costs less than a launch's 10 ns, hence its own ceiling
+# a disorder ensemble also pays, per realization, this for its fixed cost
+# (about 100 us), and _CELL_WORK per site and grid point (plus two) for its
+# sampling, intensities and reduction (25-57 ns each). A block's unit takes
+# 1.2-5 ns on 2 cores, less than a launch's, hence a ceiling of its own, at
+# most about 10 s: the disorder_ensemble workload and configs/disorder.json
+# estimate 1.1e9 (about 1.6 s), criterion 4 1.0e8
 _REALIZATION_WORK = 50_000
 _CELL_WORK = 12
 _MAX_DISORDER_WORK = 2_000_000_000
 
 
-def _check_chebyshev_work(cfg: dict, zvals, hop: float, minus_degree: bool) -> None:
+def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool, segments: list) -> None:
     """Refuse a Chebyshev run whose estimated work is above its budget, before
-    anything is allocated. The enclosure half-width is at most half the
-    spread of the diagonal plus the largest disc radius, itself at most
-    ``hop``, plus half the dephasing noise or the disorder's padding."""
+    anything is allocated. The estimate is ``_chebyshev_work`` summed over the
+    light-cone calls the run's engine makes, one per block of rows, on a
+    bound of the engine's enclosure half-width: half the spread of the
+    diagonal plus the largest disc radius, at most twice the largest
+    coupling, padded as the engine pads it. A dephasing block makes one call
+    per noise segment of ``segments`` (``_plan_segments``), counted on the
+    whole lattice; a disorder realization adds its fixed cost and its cells."""
     lattice, zgrid = cfg["lattice"], cfg["zgrid"]
     n, periodic = lattice["n_sites"], lattice["boundary"] == "periodic"
     spread = (float(np.mean(lattice["coupling"])) if minus_degree
               else float(np.ptp(lattice["beta"])))
-    halfwidth = 0.5 * spread + hop
-    key, budget = "zgrid.stop", _MAX_WORK
+    halfwidth = 0.5 * spread + 2.0 * float(np.max(lattice["coupling"]))
+    ini = cfg["initial_state"]
+    if ini["kind"] == "single_site":
+        a = b = ini["site"]
+    elif ini["kind"] == "two_site":
+        a, b = sorted(ini["sites"])
+    else:  # a Gaussian launch may reach every site
+        a, b = 0, n - 1
+    nr, key, budget, blocks, fixed = cfg["n_realizations"], "zgrid.stop", _MAX_WORK, 1, 0
+    calls = [(a, b, 1, zvals)]  # (first and last site, rows, z values) of each call
     if cfg["experiment"] == "boundary_sweep":
-        # one carpet block of every input at zgrid.stop, then the first input
-        # over the whole grid
+        # a carpet block of every input at zgrid.stop, then the first input's launch
         lo, hi = cfg["sweep"]["input_min"], cfg["sweep"]["input_max"]
-        work = (_chebyshev_work(n, False, lo, hi, hi - lo + 1, halfwidth, zvals[-1:], _MAX_WORK)
-                + _chebyshev_work(n, False, lo, lo, 1, halfwidth, zvals, _MAX_WORK))
+        calls = [(lo, hi, hi - lo + 1, zvals[-1:]), (lo, lo, 1, zvals)]
     elif cfg["experiment"] == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0:
-        # each block of histories runs one recurrence per segment, with its
-        # segment-end column counted within its steps, plus at most one column
-        # per grid point, each counted as a whole recurrence on the lattice
-        nr, deph = cfg["n_realizations"], cfg["dephasing"]
-        dz = deph["segment_length"]
-        once = (_order_cap((halfwidth + 0.5 * deph["phase_strength"]) * dz)
-                * (min(nr, _BLOCK) * n + _STEP_SITES))
-        work = -(-nr // _BLOCK) * (_n_segments(zgrid["stop"], dz) + zgrid["steps"]) * once
-    else:  # a launch, blocks of disorder realizations, or the no-noise dephasing control
-        ini = cfg["initial_state"]
-        if ini["kind"] == "single_site":
-            a = b = ini["site"]
-        elif ini["kind"] == "two_site":
-            a, b = sorted(ini["sites"])
-        else:  # a Gaussian launch may reach every site
-            a, b = 0, n - 1
-        rows, blocks, fixed = 1, 1, 0
-        if cfg["experiment"] == "disorder":
-            # the ensemble's enclosure pads the clean one by W/2 and 2*w*C (in
-            # ``hop``), and by 2*w*C more under minus_degree_gamma
-            nr, dis = cfg["n_realizations"], cfg["disorder"]
-            halfwidth += 0.5 * dis["diag_strength"] + minus_degree * 2.0 * (
-                dis["offdiag_strength"] * float(np.max(lattice["coupling"])))
-            key, budget = "n_realizations", _MAX_DISORDER_WORK
-            rows = min(nr, _disorder_block(n, len(zvals)))
-            blocks = -(-nr // rows)
-            fixed = nr * (_REALIZATION_WORK + _CELL_WORK * (len(zvals) + 2) * n)
-        work = fixed + blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zvals,
-                                                budget // blocks)
+        halfwidth += 0.5 * cfg["dephasing"]["phase_strength"]
+        blocks = -(-nr // _BLOCK)
+        calls = [(0, n - 1, min(nr, _BLOCK), offsets) for _, offsets, _ in segments]
+    elif cfg["experiment"] == "disorder":
+        halfwidth += _disorder_pad(lattice["coupling"], minus_degree, **cfg["disorder"])
+        rows = min(nr, _disorder_block(n, len(zvals)))
+        key, budget, blocks = "n_realizations", _MAX_DISORDER_WORK, -(-nr // rows)
+        fixed = nr * (_REALIZATION_WORK + _CELL_WORK * (len(zvals) + 2) * n)
+        calls = [(a, b, rows, zvals)]
+    work = fixed
+    for a, b, rows, zs in calls:
+        if work > budget:
+            break
+        work += blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zs, budget // blocks)
     if work > budget:
-        runs = f"{cfg['n_realizations']} realizations to z = " if key == "n_realizations" else ""
+        runs = f"{nr} realizations to z = " if key == "n_realizations" else ""
         _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
              f"work above the budget of {budget:.0e} site updates")
 
@@ -449,6 +438,7 @@ def load_config(raw: dict) -> ExperimentConfig:
     if name:
         block[name] = cfg[name] = _resolve(cfg[name], name, _SCHEMA[name], cfg)
     dis = block.get("disorder", {})
+    segments = []  # the noise segments of a dephasing history (_plan_segments)
     if experiment == "disorder":
         w = dis["offdiag_strength"]
         if w >= 1.0:
@@ -463,7 +453,7 @@ def load_config(raw: dict) -> ExperimentConfig:
                  f"the smallest normal float")
     elif experiment == "dephasing":
         try:
-            _n_segments(zgrid["stop"], block["dephasing"]["segment_length"])
+            segments = _plan_segments(zvals, block["dephasing"]["segment_length"])
         except ValueError as exc:
             _err("dephasing.segment_length", str(exc))
     elif experiment == "boundary_sweep":
@@ -498,7 +488,7 @@ def load_config(raw: dict) -> ExperimentConfig:
              "max(2, zgrid.stop) overflows")
     if (experiment in ("boundary_sweep", "dephasing", "disorder")
             or (experiment == "ballistic" and prop["method"] == "chebyshev")):
-        _check_chebyshev_work(cfg, zvals, hop, minus_degree)
+        _check_chebyshev_work(cfg, zvals, minus_degree, segments)
 
     return ExperimentConfig(**{key: cfg[key] for key in _ALWAYS + _ECHOED}, **block)
 

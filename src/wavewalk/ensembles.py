@@ -182,18 +182,24 @@ def _disorder_block(n: int, nz: int) -> int:
     return max(1, min(_DISORDER_BLOCK, _BLOCK_CELLS // ((nz + 4) * n)))
 
 
+def _disorder_pad(coupling, minus_degree: bool, offdiag_strength, diag_strength) -> float:
+    """How far past the clean lattice's Gershgorin discs a realization's
+    reach: W/2, and w*C per bond (2*w*C on a site), and 2*w*C more under
+    minus_degree_gamma, as its diagonal follows its own mean coupling. The
+    disorder block's enclosure and the loader's work estimate both pad by it."""
+    hop = 2.0 * offdiag_strength * float(np.max(coupling))
+    return 0.5 * diag_strength + (2.0 if minus_degree else 1.0) * hop
+
+
 def _disorder_block_rows(base: LatticeSpec, d: DisorderSpec, psi0: WaveFunction, zgrid: ZGrid,
                          policy: SeedPolicy):
     """The block function of a disorder ensemble: ``block_rows(k_lo, k_hi)``
     propagates realizations k_lo..k_hi-1 in one light-cone call and yields
     (every grid row, I of shape (1, nz, n_sites)) one realization at a time,
     so the sums are a left fold whatever the block size. One enclosure serves
-    all: a realization's Gershgorin discs lie within the clean lattice's
-    widened by W/2 and by w*C per bond, and by 2*w*C more under
-    minus_degree_gamma, as its diagonal follows its own mean coupling."""
-    hop = 2.0 * d.offdiag_strength * float(np.max(base.coupling))
-    minus_degree = base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA
-    pad = 0.5 * d.diag_strength + (2.0 if minus_degree else 1.0) * hop
+    all: the clean lattice's, padded by ``_disorder_pad``."""
+    pad = _disorder_pad(base.coupling, base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA,
+                        d.offdiag_strength, d.diag_strength)
     center, halfwidth = _chebyshev_enclosure(build_hamiltonian(base), pad=pad)
     table, terms = _chebyshev_table(halfwidth * zgrid.values, _CHEBYSHEV_TOL)
 
@@ -230,22 +236,60 @@ def run_ensemble(
 
 _BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per grid row
 
+# ceiling on the noise segments of one history, checked before they are
+# planned; the committed dephasing runs use 80
+_MAX_SEGMENTS = 100_000
+
+
+def _plan_segments(zvals, segment_length: float) -> list:
+    """The noise segments of a history on the grid ``zvals``, each as (met,
+    offsets, end): ``offsets`` are the distinct offsets from the segment's
+    start of its end and of the grid rows it meets, ascending; ``met`` pairs
+    each such row with the index of its offset, and ``end`` is the end's.
+
+    A block of histories makes one light-cone call per segment, at its
+    offsets, and the loader charges each block one ``_chebyshev_work`` per
+    segment. ``zvals[-1]`` must be a whole number of segments (relative
+    1e-9), and at most _MAX_SEGMENTS."""
+    zmax, dz = float(zvals[-1]), segment_length
+    ratio = zmax / dz
+    n = round(ratio) if np.isfinite(ratio) else 0
+    if n < 1 or abs(n * dz - zmax) > 1e-9 * max(1.0, zmax):
+        raise ValueError(f"zgrid.stop={zmax} is not a whole number of segments of "
+                         f"length {dz}")
+    if n > _MAX_SEGMENTS:
+        raise ValueError(f"zgrid.stop={zmax} needs {n} segments of length {dz}, "
+                         f"above the ceiling of {_MAX_SEGMENTS}")
+    gi = 0
+    segments = []
+    for s in range(n):
+        z_start, z_end = s * dz, (s + 1) * dz
+        met = []
+        while gi < zvals.size and zvals[gi] <= z_end + 1e-9 * max(1.0, z_end):
+            met.append((gi, float(zvals[gi] - z_start)))
+            gi += 1
+        offsets = tuple(sorted({dz} | {dt for _, dt in met}))
+        segments.append(([(row, offsets.index(dt)) for row, dt in met], offsets,
+                         offsets.index(dz)))
+    if gi < zvals.size:
+        raise ValueError("zgrid extends past the final noise segment")
+    return segments
+
 
 def _dephasing_block_rows(
     h0: Hamiltonian,
     psi0: WaveFunction,
-    zgrid: ZGrid,
     deph: DephasingSpec,
-    n_segments: int,
+    segments: list,
     policy: SeedPolicy,
 ):
     """The block function of a dephasing ensemble: ``block_rows(k_lo, k_hi)``
-    propagates noise histories k_lo..k_hi-1 together, each drawing its segment
-    noise in order from its own stream, and yields (row, I) one grid row at a
-    time, with I of shape (k_hi - k_lo, n_sites).
+    propagates noise histories k_lo..k_hi-1 together through ``segments``
+    (``_plan_segments``), each history drawing its segment noise in order
+    from its own stream, and yields (row, I) one grid row at a time, with I
+    of shape (k_hi - k_lo, n_sites).
 
-    What every history shares is set up once: the spectral enclosure, the
-    offsets from its start of the grid rows met in each segment, and one
+    What every history shares is set up once: the spectral enclosure and one
     Chebyshev coefficient table per distinct tuple of a segment's offsets."""
     n = h0.n_sites
     half = 0.5 * deph.phase_strength
@@ -254,24 +298,8 @@ def _dephasing_block_rows(
     # does not round the noise away; the phase exp(-i center z) that this drops
     # is the same on every site and cancels in |psi|^2
     shifted = h0.diag - center
-    dz = deph.segment_length
-    zvals = zgrid.values
-    gi = 0
-    segments = []  # per segment: (grid row, column) pairs, offsets, column of dz
-    tables = {}
-    for s in range(n_segments):
-        z_start, z_end = s * dz, (s + 1) * dz
-        met = []
-        while gi < zvals.size and zvals[gi] <= z_end + 1e-9 * max(1.0, z_end):
-            met.append((gi, float(zvals[gi] - z_start)))
-            gi += 1
-        offsets = tuple(sorted({dz} | {dt for _, dt in met}))
-        if offsets not in tables:
-            tables[offsets] = _chebyshev_table(halfwidth * np.array(offsets), _CHEBYSHEV_TOL)
-        segments.append(([(row, offsets.index(dt)) for row, dt in met], offsets,
-                         offsets.index(dz)))
-    if gi < zvals.size:
-        raise ValueError("zgrid extends past the final noise segment")
+    tables = {offsets: _chebyshev_table(halfwidth * np.array(offsets), _CHEBYSHEV_TOL)
+              for offsets in {offsets for _, offsets, _ in segments}}
 
     def block_rows(k_lo: int, k_hi: int):
         rngs = [policy.stream(k) for k in range(k_lo, k_hi)]
@@ -285,25 +313,6 @@ def _dephasing_block_rows(
             psi = amps[end]
 
     return block_rows
-
-
-# ceiling on the noise segments of one history, checked before the per-segment
-# grid lists are built; the committed dephasing runs use 80
-_MAX_SEGMENTS = 100_000
-
-
-def _n_segments(zmax: float, segment_length: float) -> int:
-    """Noise segments up to zmax, which must be a whole number of them (relative
-    1e-9), and at most _MAX_SEGMENTS."""
-    ratio = zmax / segment_length
-    n = round(ratio) if np.isfinite(ratio) else 0
-    if n < 1 or abs(n * segment_length - zmax) > 1e-9 * max(1.0, zmax):
-        raise ValueError(f"zgrid.stop={zmax} is not a whole number of segments of "
-                         f"length {segment_length}")
-    if n > _MAX_SEGMENTS:
-        raise ValueError(f"zgrid.stop={zmax} needs {n} segments of length {segment_length}, "
-                         f"above the ceiling of {_MAX_SEGMENTS}")
-    return n
 
 
 def evolve_dephasing(
@@ -322,7 +331,7 @@ def evolve_dephasing(
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    n_segments = _n_segments(float(zgrid.values[-1]), deph.segment_length)
+    segments = _plan_segments(zgrid.values, deph.segment_length)
     h0 = build_hamiltonian(base)
     psi0 = make_initial_state(init, base.n_sites)
     if deph.phase_strength == 0.0:
@@ -331,5 +340,5 @@ def evolve_dephasing(
             n_realizations=n_realizations, zgrid=zgrid, mean_intensity=inten,
             sem_intensity=np.zeros_like(inten), variance_trace=spread_variance(inten),
             pr_trace=participation_ratio(inten))
-    block_rows = _dephasing_block_rows(h0, psi0, zgrid, deph, n_segments, SeedPolicy(master_seed))
+    block_rows = _dephasing_block_rows(h0, psi0, deph, segments, SeedPolicy(master_seed))
     return _reduce_ensemble(block_rows, _BLOCK, zgrid, n_realizations, base.n_sites)

@@ -22,7 +22,7 @@ from wavewalk import (
     uniform_lattice,
     validate_config,
 )
-from wavewalk import config, kernels
+from wavewalk import config, ensembles, kernels, propagators
 from wavewalk.cli import _fmt, _write_matrix_csv, main, run_experiment
 from wavewalk.ensembles import ROW_SUM_TOL
 from wavewalk.propagators import (
@@ -524,14 +524,19 @@ def test_workers_variable_is_ignored(tmp_path):
     # budget, which adds a fixed cost per realization
     {"experiment": "disorder", "lattice": {"n_sites": 41}, "zgrid": {"stop": 20.0, "steps": 5},
      "disorder": {"offdiag_strength": 0.5, "diag_strength": 1.0}, "n_realizations": 40},
+    # grid rows inside the noise segments, so most segments end between rows
+    {"experiment": "dephasing", "lattice": {"n_sites": 31}, "zgrid": {"stop": 2.0, "steps": 6},
+     "dephasing": {"segment_length": 0.5, "phase_strength": 3.0}, "n_realizations": 10},
+    # realizations whose diagonals follow their own mean couplings
+    {"experiment": "disorder", "zgrid": {"stop": 10.0, "steps": 6},
+     "lattice": {"n_sites": 40, "boundary": "periodic", "diag_convention": "minus_degree_gamma"},
+     "disorder": {"offdiag_strength": 0.4}, "n_realizations": 40},
 ], ids=["two_site", "ring", "boundary_sweep", "dephasing", "dephasing_ring", "dephasing_control",
-        "disorder"])
+        "disorder", "dephasing_mid_segment", "disorder_ring_minus_degree"])
 def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
-    # the loader takes every expansion at its order ceiling, so its estimate
-    # bounds the site updates the run performs, here within a factor of 10;
-    # 20 for dephasing, whose estimate also takes one expansion per grid point
-    # and every block of histories full
-    factor = 20 if payload["experiment"] == "dephasing" else 10
+    # the loader charges every light-cone call the run makes, each expansion
+    # at its order ceiling, so its estimate bounds the site updates the run
+    # performs, here within a factor of 10
     budget, key = (("_MAX_DISORDER_WORK", "n_realizations") if payload["experiment"] == "disorder"
                    else ("_MAX_WORK", "zgrid.stop"))
     cfg = config.load_config(payload)
@@ -549,8 +554,43 @@ def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     monkeypatch.setattr(config, budget, sum(done) - 1)
     with pytest.raises(config.ConfigError, match=key):
         config.load_config(payload)
-    monkeypatch.setattr(config, budget, factor * sum(done))
+    monkeypatch.setattr(config, budget, 10 * sum(done))
     config.load_config(payload)
+
+
+@pytest.mark.parametrize("convention", ["beta_as_given", "minus_degree_gamma"])
+@pytest.mark.parametrize("boundary", ["open", "periodic"])
+@pytest.mark.parametrize("experiment", ["ballistic", "disorder", "dephasing"])
+def test_work_estimate_halfwidth_bounds_the_engine_enclosure(tmp_path, monkeypatch, experiment,
+                                                             boundary, convention):
+    # the loader charges every call on a half-width bound that must hold the
+    # enclosure each light-cone call of the engine uses, padded by its
+    # disorder or noise
+    n = 24
+    bonds = n if boundary == "periodic" else n - 1
+    lattice = {"n_sites": n, "boundary": boundary, "diag_convention": convention,
+               "coupling": [1.0 + 0.5 * (j % 3) for j in range(bonds)]}
+    if convention == "beta_as_given":
+        lattice["beta"] = [0.3 * (j % 5) - 0.6 for j in range(n)]
+    payload = {"experiment": experiment, "lattice": lattice, "zgrid": {"stop": 2.0, "steps": 5}}
+    if experiment == "ballistic":
+        payload["propagator"] = {"method": "chebyshev"}
+    elif experiment == "disorder":
+        payload.update(n_realizations=3, disorder={
+            "offdiag_strength": 0.4, "diag_strength": 1.5 if convention == "beta_as_given" else 0.0})
+    else:
+        payload.update(n_realizations=3, dephasing={"segment_length": 0.5, "phase_strength": 4.0})
+    charged, used = [], []
+    work, rows = config._chebyshev_work, propagators._light_cone_rows
+    monkeypatch.setattr(config, "_chebyshev_work",
+                        lambda *args: charged.append(args[5]) or work(*args))
+    cfg = config.load_config(payload)
+    for module in (propagators, ensembles):
+        monkeypatch.setattr(module, "_light_cone_rows",
+                            lambda *args: used.append(args[4]) or rows(*args))
+    run_experiment(cfg, output_dir=str(tmp_path))
+    assert charged and used
+    assert min(charged) >= max(used)
 
 
 _SIMULATE_ALL = """
@@ -727,6 +767,23 @@ def test_output_directory_that_cannot_be_created_is_a_config_error(tmp_path, cap
     assert "output.directory" in capsys.readouterr().err
     assert main(["simulate", str(cfg), "--output-dir", str(blocker)]) == 2
     assert "--output-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blocked", ["intensity.csv", "carpet.pgm", "run.json"])
+def test_artifact_that_cannot_be_written_is_a_config_error(tmp_path, capsys, blocked):
+    # a directory where an artifact should go: the file and the key that chose
+    # the output directory are named, and nothing escapes as a traceback
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = _write_cfg(tmp_path, "s.json", {
+        "experiment": "boundary_sweep", "lattice": {"n_sites": 30}, "zgrid": {"stop": 2.0},
+        "sweep": {"input_min": 0, "input_max": 3}, "output": {"directory": str(out)}})
+    assert main(["simulate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "output.directory" in err and blocked in err
+    assert main(["simulate", str(cfg), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--output-dir" in err and blocked in err
 
 
 def test_classical_cli_variance_is_diffusive(tmp_path):

@@ -245,6 +245,19 @@ def test_invalid_configs_rejected(raw, path):
         load_config(raw)
 
 
+def test_numpy_floats_resolve_as_python_floats():
+    # numpy's float64 subclasses float, so it is taken as a number, and it
+    # resolves as the Python float it equals, past the float range check too
+    raw = {"experiment": "ballistic", "lattice": {"n_sites": 11, "coupling": np.float64(1.0)},
+           "zgrid": {"stop": np.float64(2.0)}}
+    cfg = load_config(raw)
+    assert cfg == load_config({**raw, "lattice": {"n_sites": 11, "coupling": 1.0},
+                               "zgrid": {"stop": 2.0}})
+    assert type(cfg.lattice["coupling"]) is float and type(cfg.zgrid["stop"]) is float
+    with pytest.raises(ConfigError, match=r"^zgrid\.stop: must be finite, got inf$"):
+        load_config({**raw, "zgrid": {"stop": np.float64("inf")}})
+
+
 def test_ballistic_chebyshev_accepts_the_loosest_tol():
     # a single run is held only to its own norm tolerance
     cfg = load_config({**MINIMAL_BALLISTIC, "propagator": {"method": "chebyshev", "tol": 1e-4}})

@@ -33,6 +33,7 @@ from wavewalk.ensembles import (
     _dephasing_block_rows,
     _disorder_block,
     _disorder_block_rows,
+    _plan_segments,
 )
 
 
@@ -277,8 +278,8 @@ def test_offdiag_disorder_with_a_huge_uniform_beta_is_a_phase():
 
 def _block(h, psi0, grid, deph, seed, k_lo, k_hi):
     """Intensities (history, z, site) of histories k_lo..k_hi-1, propagated as one block."""
-    n_segments = int(round(grid.values[-1] / deph.segment_length))
-    block_rows = _dephasing_block_rows(h, psi0, grid, deph, n_segments, SeedPolicy(seed))
+    segments = _plan_segments(grid.values, deph.segment_length)
+    block_rows = _dephasing_block_rows(h, psi0, deph, segments, SeedPolicy(seed))
     out = np.full((k_hi - k_lo, len(grid), h.n_sites), np.nan)
     for row, inten in block_rows(k_lo, k_hi):
         out[:, row] = inten
