@@ -161,18 +161,24 @@ def run_experiment(cfg: ExperimentConfig, output_dir: str | None = None) -> Path
     nerr = np.abs(np.sum(intensities, axis=1) - 1.0)
 
     if "csv" in formats:
-        write("intensity.csv", _write_matrix_csv, "z", zvals, intensities,
-              comment=f"row probability sum tolerance: {ROW_SUM_TOL:g}")
+        write(
+            "intensity.csv", _write_matrix_csv, "z", zvals, intensities,
+            comment=f"row probability sum tolerance: {ROW_SUM_TOL:g}",
+        )
         write("observables.csv", _write_observables_csv, zvals, var, pr, nerr)
         if carpet is not None:
             lo, hi = cfg.sweep["input_min"], cfg.sweep["input_max"]
-            write("carpet.csv", _write_matrix_csv, "input_site",
-                  np.arange(lo, hi + 1, dtype=float), carpet,
-                  comment=f"output intensity at z={_fmt(zvals[-1])} per input site")
+            write(
+                "carpet.csv", _write_matrix_csv, "input_site",
+                np.arange(lo, hi + 1, dtype=float), carpet,
+                comment=f"output intensity at z={_fmt(zvals[-1])} per input site",
+            )
     if "pgm" in formats and carpet is not None:
         write("carpet.pgm", _write_pgm, carpet)
     if "json" in formats:
-        doc = {**cfg.to_dict(), "version": __version__, "backend": kernels.backend()}
+        doc = cfg.to_dict()
+        doc["version"] = __version__
+        doc["backend"] = kernels.backend()
         write("run.json", Path.write_text, json.dumps(doc, indent=2, sort_keys=True) + "\n",
               encoding="utf-8", newline="\n")
 

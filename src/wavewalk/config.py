@@ -31,7 +31,12 @@ from .lattice import (
     TwoSite,
     _gaussian_envelope,
 )
-from .propagators import _CHEBYSHEV_TOL, _MAX_CHEBYSHEV_TOL, ZGrid, _chebyshev_work
+from .propagators import (
+    _CHEBYSHEV_TOL,
+    _MAX_CHEBYSHEV_TOL,
+    ZGrid,
+    _chebyshev_work,
+)
 
 
 class ConfigError(ValueError):
@@ -309,15 +314,15 @@ _CELL_WORK = 12
 _MAX_DISORDER_WORK = 2_000_000_000
 
 
-def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool, segments: list) -> None:
+def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
     """Refuse a Chebyshev run whose estimated work is above its budget, before
     anything is allocated. The estimate is ``_chebyshev_work`` summed over the
     light-cone calls the run's engine makes, one per block of rows, on a
     bound of the engine's enclosure half-width: half the spread of the
     diagonal plus the largest disc radius, at most twice the largest
     coupling, padded as the engine pads it. A dephasing block makes one call
-    per noise segment of ``segments`` (``_plan_segments``), counted on the
-    whole lattice; a disorder realization adds its fixed cost and its cells."""
+    per noise segment (``_plan_segments``), counted on the whole lattice; a
+    disorder realization adds its fixed cost and its cells."""
     lattice, zgrid = cfg["lattice"], cfg["zgrid"]
     n, periodic = lattice["n_sites"], lattice["boundary"] == "periodic"
     spread = (float(np.mean(lattice["coupling"])) if minus_degree
@@ -331,30 +336,46 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool, segments: list) 
     else:  # a Gaussian launch may reach every site
         a, b = 0, n - 1
     nr, key, budget, blocks, fixed = cfg["n_realizations"], "zgrid.stop", _MAX_WORK, 1, 0
+    noisy = cfg["experiment"] == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0
     calls = [(a, b, 1, zvals)]  # (first and last site, rows, z values) of each call
     if cfg["experiment"] == "boundary_sweep":
         # a carpet block of every input at zgrid.stop, then the first input's launch
         lo, hi = cfg["sweep"]["input_min"], cfg["sweep"]["input_max"]
         calls = [(lo, hi, hi - lo + 1, zvals[-1:]), (lo, lo, 1, zvals)]
-    elif cfg["experiment"] == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0:
+    elif noisy:
+        # each grid row is an offset >= 0 in one segment's call: charged at
+        # offset 0, the rows bound the plan's work from below, so a grid too
+        # long to plan is refused before it is planned
         halfwidth += 0.5 * cfg["dephasing"]["phase_strength"]
         blocks = -(-nr // _BLOCK)
-        calls = [(0, n - 1, min(nr, _BLOCK), offsets) for _, offsets, _ in segments]
+        calls = [(0, n - 1, min(nr, _BLOCK), np.zeros(zvals.size))]
     elif cfg["experiment"] == "disorder":
         halfwidth += _disorder_pad(lattice["coupling"], minus_degree, **cfg["disorder"])
         rows = min(nr, _disorder_block(n, len(zvals)))
         key, budget, blocks = "n_realizations", _MAX_DISORDER_WORK, -(-nr // rows)
         fixed = nr * (_REALIZATION_WORK + _CELL_WORK * (len(zvals) + 2) * n)
         calls = [(a, b, rows, zvals)]
-    work = fixed
-    for a, b, rows, zs in calls:
+
+    def charge(calls):
+        work = fixed
+        for a, b, rows, zs in calls:
+            if work > budget:
+                break
+            work += blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zs,
+                                             budget // blocks)
         if work > budget:
-            break
-        work += blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zs, budget // blocks)
-    if work > budget:
-        runs = f"{nr} realizations to z = " if key == "n_realizations" else ""
-        _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
-             f"work above the budget of {budget:.0e} site updates")
+            runs = f"{nr} realizations to z = " if key == "n_realizations" else ""
+            _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
+                 f"work above the budget of {budget:.0e} site updates")
+
+    charge(calls)
+    if cfg["experiment"] == "dephasing":  # the no-noise control checks its segments too
+        try:
+            segments = _plan_segments(zvals, cfg["dephasing"]["segment_length"])
+        except ValueError as exc:
+            _err("dephasing.segment_length", str(exc))
+        if noisy:
+            charge([(0, n - 1, min(nr, _BLOCK), offsets) for _, offsets, _ in segments])
 
 
 def load_config(raw: dict) -> ExperimentConfig:
@@ -438,7 +459,6 @@ def load_config(raw: dict) -> ExperimentConfig:
     if name:
         block[name] = cfg[name] = _resolve(cfg[name], name, _SCHEMA[name], cfg)
     dis = block.get("disorder", {})
-    segments = []  # the noise segments of a dephasing history (_plan_segments)
     if experiment == "disorder":
         w = dis["offdiag_strength"]
         if w >= 1.0:
@@ -451,11 +471,6 @@ def load_config(raw: dict) -> ExperimentConfig:
         if not smallest >= np.finfo(np.float64).tiny:
             _err("lattice.coupling", f"disorder can draw a coupling of {smallest!r}, below "
                  f"the smallest normal float")
-    elif experiment == "dephasing":
-        try:
-            segments = _plan_segments(zvals, block["dephasing"]["segment_length"])
-        except ValueError as exc:
-            _err("dephasing.segment_length", str(exc))
     elif experiment == "boundary_sweep":
         lo, hi = block["sweep"]["input_min"], block["sweep"]["input_max"]
         if hi < lo:
@@ -488,7 +503,7 @@ def load_config(raw: dict) -> ExperimentConfig:
              "max(2, zgrid.stop) overflows")
     if (experiment in ("boundary_sweep", "dephasing", "disorder")
             or (experiment == "ballistic" and prop["method"] == "chebyshev")):
-        _check_chebyshev_work(cfg, zvals, minus_degree, segments)
+        _check_chebyshev_work(cfg, zvals, minus_degree)
 
     return ExperimentConfig(**{key: cfg[key] for key in _ALWAYS + _ECHOED}, **block)
 

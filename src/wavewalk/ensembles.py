@@ -269,8 +269,8 @@ def _plan_segments(zvals, segment_length: float) -> list:
             met.append((gi, float(zvals[gi] - z_start)))
             gi += 1
         offsets = tuple(sorted({dz} | {dt for _, dt in met}))
-        segments.append(([(row, offsets.index(dt)) for row, dt in met], offsets,
-                         offsets.index(dz)))
+        column = {dt: j for j, dt in enumerate(offsets)}
+        segments.append(([(row, column[dt]) for row, dt in met], offsets, column[dz]))
     if gi < zvals.size:
         raise ValueError("zgrid extends past the final noise segment")
     return segments

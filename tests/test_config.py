@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wavewalk import ConfigError, load_config, make_initial_state, validate_config
+from wavewalk import config
 from wavewalk.cli import main
 from wavewalk.config import _REQUIRED, _SCHEMA, READS
 
@@ -364,6 +365,10 @@ def test_readme_schema_table_matches_the_config_table():
             op for op, b in bounds if callable(b)], name
 
 
+LONG_SEGMENT = {"experiment": "dephasing", "lattice": {"n_sites": 2},
+                "zgrid": {"stop": 1.0, "steps": 1_000_000},
+                "dephasing": {"segment_length": 1.0, "phase_strength": 1.0}}
+
 # (config, key): each would allocate far more than a machine holds
 OVERSIZED = [
     # 8*N^2 = 7.28 TiB of eigenvectors
@@ -418,6 +423,9 @@ OVERSIZED = [
     ({"experiment": "disorder", "lattice": {"n_sites": 100_000},
       "zgrid": {"stop": 1.0, "steps": 100}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 1280}, "n_realizations"),
+    # dephasing work above the budget: a million grid rows in one noise
+    # segment, each an expansion of its own, refused before they are planned
+    (LONG_SEGMENT, "zgrid.stop"),
 ]
 
 
@@ -431,6 +439,18 @@ def test_resource_caps_refuse_before_the_run_allocates(tmp_path, capsys, raw, ke
     assert main(["simulate", str(path)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()  # the run never started
+
+
+def test_dephasing_grid_too_long_to_plan_is_refused_unplanned(monkeypatch):
+    # every grid row costs at least one expansion at its segment offset, so
+    # the budget refuses a million rows from that bound alone; planning them
+    # would take time and memory in proportion
+    def plan(*args):
+        raise AssertionError("segments planned")
+
+    monkeypatch.setattr(config, "_plan_segments", plan)
+    with pytest.raises(ConfigError, match=r"^zgrid\.stop: "):
+        load_config(LONG_SEGMENT)
 
 
 def _workload_configs():
