@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensembles import _BLOCK, _disorder_block, _disorder_pad, _plan_segments
+from .ensembles import _BLOCK, _disorder_block, _disorder_pad, _plan_segments, _segment_count
 from .lattice import (
     MAX_SITES,
     Boundary,
@@ -356,13 +356,13 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
         fixed = nr * (_REALIZATION_WORK + _CELL_WORK * (len(zvals) + 2) * n)
         calls = [(a, b, rows, zvals)]
 
-    def charge(calls):
+    def charge(calls, count=1):
         work = fixed
         for a, b, rows, zs in calls:
             if work > budget:
                 break
-            work += blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zs,
-                                             budget // blocks)
+            work += count * blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zs,
+                                                     budget // (count * blocks))
         if work > budget:
             runs = f"{nr} realizations to z = " if key == "n_realizations" else ""
             _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
@@ -370,12 +370,17 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
 
     charge(calls)
     if cfg["experiment"] == "dephasing":  # the no-noise control checks its segments too
+        dz = cfg["dephasing"]["segment_length"]
         try:
-            segments = _plan_segments(zvals, cfg["dephasing"]["segment_length"])
+            n_segments = _segment_count(float(zvals[-1]), dz)
         except ValueError as exc:
             _err("dephasing.segment_length", str(exc))
         if noisy:
-            charge([(0, n - 1, min(nr, _BLOCK), offsets) for _, offsets, _ in segments])
+            # every segment's call holds its end: charged alone, the segments
+            # bound the plan's work from below before it is planned
+            charge([(0, n - 1, min(nr, _BLOCK), np.array([dz]))], count=n_segments)
+            charge([(0, n - 1, min(nr, _BLOCK), offsets)
+                    for _, offsets, _ in _plan_segments(zvals, dz)])
 
 
 def load_config(raw: dict) -> ExperimentConfig:

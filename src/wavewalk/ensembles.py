@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .lattice import (
     DiagConvention,
     Hamiltonian,
@@ -170,16 +171,19 @@ def _reduce_ensemble(block_rows, block: int, zgrid: ZGrid, n_realizations: int, 
 
 
 _DISORDER_BLOCK = 32  # most realizations per disorder block; a memory constant only
-# most complex cells a disorder block holds (16 MB): nz + 4 per site and
-# realization, its states at every z, its initial rows, and its lattice,
-# Hamiltonian and stacked diagonal and couplings
-_BLOCK_CELLS = 1_000_000
+# most complex cells a disorder block holds (3.7 MB). Per site and
+# realization: nz for its states at every z, the chunk of vectors the
+# Chebyshev kernel stores at a time, and 8 for its initial rows, lattice,
+# Hamiltonian, stacked diagonal and couplings and recurrence temporaries;
+# and one realization's worth more for the kernel's per-state product
+_BLOCK_CELLS = 230_000
 
 
 def _disorder_block(n: int, nz: int) -> int:
     """Realizations per disorder block on n sites and nz grid points:
     _DISORDER_BLOCK, fewer where the block would pass _BLOCK_CELLS."""
-    return max(1, min(_DISORDER_BLOCK, _BLOCK_CELLS // ((nz + 4) * n)))
+    cells = (nz + kernels.store_terms(nz) + 8) * n
+    return max(1, min(_DISORDER_BLOCK, _BLOCK_CELLS // cells - 1))
 
 
 def _disorder_pad(coupling, minus_degree: bool, offdiag_strength, diag_strength) -> float:
@@ -241,6 +245,20 @@ _BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per
 _MAX_SEGMENTS = 100_000
 
 
+def _segment_count(zmax: float, segment_length: float) -> int:
+    """The number of noise segments of a history to ``zmax``, which must be
+    a whole number of segments (relative 1e-9), and at most _MAX_SEGMENTS."""
+    ratio = zmax / segment_length
+    n = round(ratio) if np.isfinite(ratio) else 0
+    if n < 1 or abs(n * segment_length - zmax) > 1e-9 * max(1.0, zmax):
+        raise ValueError(f"zgrid.stop={zmax} is not a whole number of segments of "
+                         f"length {segment_length}")
+    if n > _MAX_SEGMENTS:
+        raise ValueError(f"zgrid.stop={zmax} needs {n} segments of length {segment_length}, "
+                         f"above the ceiling of {_MAX_SEGMENTS}")
+    return n
+
+
 def _plan_segments(zvals, segment_length: float) -> list:
     """The noise segments of a history on the grid ``zvals``, each as (met,
     offsets, end): ``offsets`` are the distinct offsets from the segment's
@@ -250,16 +268,9 @@ def _plan_segments(zvals, segment_length: float) -> list:
     A block of histories makes one light-cone call per segment, at its
     offsets, and the loader charges each block one ``_chebyshev_work`` per
     segment. ``zvals[-1]`` must be a whole number of segments (relative
-    1e-9), and at most _MAX_SEGMENTS."""
-    zmax, dz = float(zvals[-1]), segment_length
-    ratio = zmax / dz
-    n = round(ratio) if np.isfinite(ratio) else 0
-    if n < 1 or abs(n * dz - zmax) > 1e-9 * max(1.0, zmax):
-        raise ValueError(f"zgrid.stop={zmax} is not a whole number of segments of "
-                         f"length {dz}")
-    if n > _MAX_SEGMENTS:
-        raise ValueError(f"zgrid.stop={zmax} needs {n} segments of length {dz}, "
-                         f"above the ceiling of {_MAX_SEGMENTS}")
+    1e-9), and at most _MAX_SEGMENTS (``_segment_count``)."""
+    dz = segment_length
+    n = _segment_count(float(zvals[-1]), dz)
     gi = 0
     segments = []
     for s in range(n):
@@ -331,14 +342,15 @@ def evolve_dephasing(
     """
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
-    segments = _plan_segments(zgrid.values, deph.segment_length)
     h0 = build_hamiltonian(base)
     psi0 = make_initial_state(init, base.n_sites)
     if deph.phase_strength == 0.0:
+        _segment_count(float(zgrid.values[-1]), deph.segment_length)
         inten = evolve_chebyshev(h0, psi0, zgrid).intensities()
         return EnsembleStats(
             n_realizations=n_realizations, zgrid=zgrid, mean_intensity=inten,
             sem_intensity=np.zeros_like(inten), variance_trace=spread_variance(inten),
             pr_trace=participation_ratio(inten))
+    segments = _plan_segments(zgrid.values, deph.segment_length)
     block_rows = _dephasing_block_rows(h0, psi0, deph, segments, SeedPolicy(master_seed))
     return _reduce_ensemble(block_rows, _BLOCK, zgrid, n_realizations, base.n_sites)

@@ -1,19 +1,19 @@
 """Hot numerical kernels: tridiagonal matvec, Chebyshev recurrence, Bessel sequences, RK4.
 
 All kernels are vectorized numpy, one algorithm each for every input (the
-Bessel sequence is Miller's recurrence at every x > 0). The matvec and the
-Chebyshev recurrence act on the last axis, so a block of states (one per row,
-each with its own diagonal, couplings and ring corner, or sharing them) runs
-as one call and every row gives the bits of the 1-d call. One Chebyshev
-recurrence also serves several coefficient sets (one per propagation
-distance, as columns), each with the bits of its own call.
+Bessel sequence is Miller's recurrence at every x > 0, run over an array of
+x at once). The matvec and the Chebyshev recurrence act on the last axis, so
+a block of states (one per row, each with its own diagonal, couplings and
+ring corner, or sharing them) runs as one call and every row gives the bits
+of the 1-d call. One Chebyshev recurrence also serves several coefficient
+sets (one per propagation distance, as columns): it stores its vectors a
+chunk at a time and forms every column of a state as one real product, so
+the columns agree with one call each to rounding.
 Callers look the kernels up through this module (``kernels.<name>``), so
 they can be swapped at runtime, for instance by a tracer.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -41,58 +41,96 @@ def tridiag_matvec(diag, off, corner, x):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev propagator core:  sum_k coeffs[k] T_k(Hs) psi,
+# Chebyshev propagator core:  sum_k a_k (-i)^k T_k(Hs) psi, for real a_k,
 # with Hs = (H - center) / halfwidth rescaled to spectrum within [-1, 1].
 # ---------------------------------------------------------------------------
 
-# the column updates of a 2-d call broadcast over at most this many
-# amplitudes at a time, so their temporary stays small (1 MiB)
-_UPDATE_CELLS = 1 << 16
+# a chunk of stored Chebyshev vectors holds at most max(nz, this) terms, so
+# the store of a call with nz columns stays within its output block
+_STORE_TERMS = 16
+
+
+def store_terms(n_cols: int) -> int:
+    """Most terms a call with ``n_cols`` coefficient columns stores at a time."""
+    return max(n_cols, _STORE_TERMS)
+
+
+def _scaled_terms(shifted, off, corner, inv, psi, n_terms, store=None):
+    """Yield u_k = (-i)^k T_k(Hs) psi for k = 0 .. n_terms-1, from the
+    recurrence u_{k+1} = u_{k-1} - 2i Hs u_k, u_1 = -i Hs u_0, which gives
+    the bits of T_k times the exact (-i)^k. With ``store``, u_k is written
+    to its slot k mod S (S >= 3 on the first axis); else each u_k is a fresh
+    array."""
+    def slot(k):
+        return None if store is None else store[k % store.shape[0]]
+
+    u0 = np.multiply(1.0, psi, out=slot(0), dtype=np.complex128)  # psi as complex
+    yield u0
+    if n_terms == 1:
+        return
+    u1 = np.multiply(-1j * inv, tridiag_matvec(shifted, off, corner, u0), out=slot(1))
+    yield u1
+    for k in range(2, n_terms):
+        y = tridiag_matvec(shifted, off, corner, u1)
+        np.multiply(-2j * inv, y, out=y)
+        u0, u1 = u1, np.add(u0, y, out=y if store is None else slot(k))
+        yield u1
 
 
 def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, terms=None, out=None):
-    """sum_k coeffs[k] T_k(Hs) psi along the last axis of psi.
+    """sum_k coeffs[k] (-i)^k T_k(Hs) psi along the last axis of psi, for a
+    real coefficient table.
 
-    ``coeffs`` of shape (K,) gives one sum, one scalar multiply per term.
-    Of shape (K, nz) it gives one sum per column from one recurrence, stacked
-    on a new first axis (written into ``out`` if given). Column j takes only
-    its first ``terms[j]`` terms; ``terms`` must not decrease from column to
-    column, so the columns still summing at term k are a suffix. Each column
-    has the bits of the 1-d call on its own terms."""
-    inv = 1.0 / halfwidth
-    shifted = diag - center
-    t0 = psi.astype(np.complex128, copy=True)
+    ``coeffs`` of shape (K,) gives one sum, streamed term by term. Of shape
+    (K, nz) it gives one sum per column from one recurrence, stacked on a new
+    first axis (written into ``out`` if given). Column j takes only its
+    first ``terms[j]`` terms (the entries past them are never read);
+    ``terms`` must not decrease from column to column. A one-column table is
+    the streamed sum. With more columns the vectors (-i)^k T_k psi are stored
+    a chunk of ``store_terms(nz)`` terms at a time, and each state (leading
+    index of psi) forms every column at once as a real product of the table
+    with its stored vectors viewed as float64: one product of a fixed shape
+    per state and chunk, so a state's bits depend on its own H and psi and on
+    K, nz and the window only."""
+    # H's entries as complex once, not cast again at every matvec (same bits)
+    shifted, off = (diag - center).astype(np.complex128), off.astype(np.complex128)
+    if isinstance(corner, np.ndarray):
+        corner = corner.astype(np.complex128)
     if coeffs.ndim == 1:
-        acc = coeffs[0] * t0
-        n_terms = coeffs.shape[0]
-
-        def add(k, t):
-            np.add(acc, coeffs[k] * t, out=acc)
+        a, acc = coeffs, None
     else:
         n_cols = coeffs.shape[1]
         terms = np.asarray(terms)
         if (terms.shape != (n_cols,) or terms[0] < 1 or terms[-1] > coeffs.shape[0]
                 or np.any(np.diff(terms) < 0)):
             raise ValueError("terms must give each column 1 to K terms, in ascending order")
-        n_terms = int(terms[-1])
-        # coefficient of column j at term k as a scalar broadcast over the state
-        cols = coeffs.reshape(coeffs.shape + (1,) * psi.ndim)
+        a = coeffs[: terms[0], 0]
         acc = np.empty((n_cols,) + psi.shape, dtype=np.complex128) if out is None else out
-        np.multiply(cols[0], t0, out=acc)
-        first = np.searchsorted(terms, np.arange(n_terms), side="right")
-        step = max(1, _UPDATE_CELLS // t0.size)
-
-        def add(k, t):
-            for j in range(first[k], n_cols, step):
-                acc[j : j + step] += cols[k, j : j + step] * t
-    if n_terms == 1:
-        return acc
-    t1 = inv * (tridiag_matvec(shifted, off, corner, t0))
-    add(1, t1)
-    for k in range(2, n_terms):
-        t2 = 2.0 * inv * tridiag_matvec(shifted, off, corner, t1) - t0
-        add(k, t2)
-        t0, t1 = t1, t2
+    args = (shifted, off, corner, 1.0 / halfwidth, psi)
+    if coeffs.ndim == 1 or n_cols == 1:  # no product to share: the streamed sum
+        total = None if acc is None else acc[0]
+        for k, u in enumerate(_scaled_terms(*args, a.shape[0])):
+            if k:
+                total += a[k] * u
+            else:
+                total = np.multiply(a[0], u, out=total)
+        return total if acc is None else acc
+    n_terms = int(terms[-1])
+    n_slots = min(n_terms, store_terms(n_cols))
+    store = np.empty((n_slots,) + psi.shape, dtype=np.complex128)
+    # one (chunk, 2W) matrix per state: its stored vectors as float64
+    mats, cols = store.view(np.float64), acc.view(np.float64)
+    for k, _ in enumerate(_scaled_terms(*args, n_terms, store)):
+        if (k + 1) % n_slots and k + 1 < n_terms:
+            continue  # the chunk is not full yet
+        lo = k - k % n_slots  # the chunk holds terms lo..k
+        table = np.where(np.arange(lo, k + 1) < terms[:, None], coeffs[lo : k + 1].T, 0.0)
+        mat = mats[: k + 1 - lo]
+        if lo == 0:  # straight into the output, one product per state
+            np.matmul(table, np.moveaxis(mat, 0, -2), out=np.moveaxis(cols, 0, -2))
+            continue
+        for state in np.ndindex(psi.shape[:-1]):  # a later chunk adds its products
+            cols[(slice(None),) + state] += table @ mat[(slice(None),) + state]
     return acc
 
 
@@ -119,32 +157,55 @@ def rk4_evolve(diag, off, corner, psi0, z, n_steps):
 # r_n = 1 / (2n/x - r_{n+1}); the sequence is then rebuilt forward from
 # J_0, which is fixed by the identity J_0 + 2*sum_{k>=1} J_{2k} = 1.
 # Products of ratios keep full relative accuracy even deep in the
-# exponentially small tail.
+# exponentially small tail. An array of x runs as one recurrence over x,
+# each x from its own starting order, so each gets the bits of its own call.
 # ---------------------------------------------------------------------------
 
 def bessel_j_sequence(x, nmax):
-    x = float(x)  # 2n/x overflows to inf without a numpy warning at subnormal x
-    if x == 0.0:  # J_n(0) = delta_n0; the recurrence divides by x
-        return np.eye(1, nmax + 1).ravel()
+    """J_0..J_nmax(x): shape (nmax + 1,) for a scalar x. For an array of x
+    (and nmax, a scalar or one per x), shape (max nmax + 1, len(x)); column j
+    holds x[j]'s sequence, and 0 past its own nmax."""
+    xs, nmaxs = np.broadcast_arrays(np.asarray(x, dtype=np.float64).ravel(),
+                                    np.asarray(nmax).ravel())
+    if not np.all((xs >= 0.0) & (xs < np.inf)):
+        raise ValueError("Bessel arguments must be finite and >= 0")
+    zero = xs == 0.0  # J_n(0) = delta_n0; the recurrence divides by x
+    x_safe = np.where(zero, 1.0, xs)
     # the normalization sum needs orders well past the turning point n ~ x
-    n_top = max(nmax, int(x) + 40 + int(2.0 * math.sqrt(x)))
-    m_start = n_top + 40 + int(2.0 * math.sqrt(n_top))
-    ratios = np.empty(n_top + 1)
-    rn = 0.0
-    for n in range(m_start, 0, -1):
-        den = 2.0 * n / x - rn
-        if den == 0.0:
-            # pole of the continued fraction (x sits on a zero of J_{n-1});
-            # the tiny floor self-corrects within two steps, as in Lentz's method
-            den = 1e-290
-        rn = 1.0 / den
-        if n <= n_top:
-            ratios[n] = rn
-    f = np.empty(n_top + 1)
+    n_top = np.maximum(nmaxs, x_safe.astype(np.int64) + 40
+                       + (2.0 * np.sqrt(x_safe)).astype(np.int64))
+    m_start = n_top + 40 + (2.0 * np.sqrt(n_top)).astype(np.int64)
+    top = int(n_top.max())
+    # each x starts from r = 0 at its own m_start; until then its column runs
+    # idle, and is reset to 0 just before it starts
+    starts: dict = {}
+    for j, m in enumerate(m_start.tolist()):
+        starts.setdefault(m, []).append(j)
+    f = np.zeros((top + 1, xs.size))  # the ratios, then the sequence
+    rn, den = np.zeros(xs.size), np.empty(xs.size)
+    # 2n/x is inf at subnormal x, so r_n = 0; a division by zero raises
+    with np.errstate(over="ignore", divide="raise"):
+        for n in range(int(m_start.max()), 0, -1):
+            if n in starts:
+                rn[starts[n]] = 0.0
+            np.divide(2.0 * n, x_safe, out=den)
+            den -= rn
+            try:
+                np.divide(1.0, den, out=rn)
+            except FloatingPointError:
+                # a pole of the continued fraction (x sits on a zero of J_{n-1});
+                # the tiny floor self-corrects within two steps, as in Lentz's method
+                den[den == 0.0] = 1e-290
+                np.divide(1.0, den, out=rn)
+            if n <= top:
+                f[n] = rn
+    f[np.arange(top + 1)[:, None] > n_top] = 0.0  # each x's ratios end at its n_top
     f[0] = 1.0
-    norm = 1.0
-    for n in range(1, n_top + 1):
-        f[n] = f[n - 1] * ratios[n]
-        if n % 2 == 0:
-            norm += 2.0 * f[n]
-    return f[: nmax + 1] / norm
+    np.multiply.accumulate(f, axis=0, out=f)  # f_n = f_{n-1} r_n, in order
+    norm = np.ones(xs.size)
+    for row in f[2::2]:
+        norm += 2.0 * row
+    seq = f[: int(nmaxs.max()) + 1] / norm
+    seq[np.arange(seq.shape[0])[:, None] > nmaxs] = 0.0
+    seq[:, zero] = np.eye(seq.shape[0], 1)
+    return seq[:, 0] if np.ndim(x) == 0 else seq

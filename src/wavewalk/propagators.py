@@ -169,40 +169,42 @@ def _order_cap(x: float) -> int:
 
 
 def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
-    """Coefficients c_k = (2 - delta_{k0}) (-i)^k J_k(x), truncated when the
-    Bessel tail stays below tol for three consecutive orders."""
-    if not np.isfinite(x):
-        raise ChebyshevConvergenceError(f"expansion argument halfwidth*z={x:g} is not finite")
-    cap = _order_cap(x)
-    if cap > _MAX_ORDER:
-        raise ChebyshevConvergenceError(
-            f"halfwidth*z={x:g} needs an order cap above the ceiling of {_MAX_ORDER} terms"
-        )
-    bess = kernels.bessel_j_sequence(x, cap + 2)
-    small = np.abs(bess) < tol
-    order = None
-    for m in range(cap + 1):
-        if small[m] and small[m + 1] and small[m + 2]:
-            order = m
-            break
-    if order is None:
-        raise ChebyshevConvergenceError(
-            f"no truncation order below cap {cap} for x={x:g}, tol={tol:g}"
-        )
-    k = np.arange(order + 1)
-    coeffs = 2.0 * (-1j) ** k * bess[: order + 1]
-    coeffs[0] *= 0.5
-    return coeffs
+    """Real coefficients a_k = (2 - delta_{k0}) J_k(x) of exp(-ix Hs) =
+    sum_k a_k (-i)^k T_k(Hs), truncated when the Bessel tail stays below tol
+    for three consecutive orders: one column of ``_chebyshev_table``."""
+    table, terms = _chebyshev_table(np.array([x]), tol)
+    return table[: terms[0], 0]
 
 
 def _chebyshev_table(xs, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The coefficients at each argument of ``xs`` as one column of a
-    (K, len(xs)) table, zero past the column's own order, and those orders."""
-    per_x = [_chebyshev_coefficients(x, tol) for x in xs]
-    terms = np.array([c.shape[0] for c in per_x])
-    table = np.zeros((terms.max(), len(per_x)), dtype=np.complex128)
-    for j, c in enumerate(per_x):
-        table[: c.shape[0], j] = c
+    """The coefficients at each argument of ``xs`` as one column of a real
+    (K, len(xs)) table, zero past the column's own order, and those orders;
+    the Bessel sequences of every x come from one ``bessel_j_sequence`` call.
+    ``chebyshev_apply`` applies the (-i)^k itself."""
+    xs = np.asarray(xs, dtype=np.float64)
+    for x in xs:
+        if not np.isfinite(x):
+            raise ChebyshevConvergenceError(f"expansion argument halfwidth*z={x:g} is not finite")
+        if _order_cap(x) > _MAX_ORDER:
+            raise ChebyshevConvergenceError(
+                f"halfwidth*z={x:g} needs an order cap above the ceiling of {_MAX_ORDER} terms"
+            )
+    caps = np.array([_order_cap(x) for x in xs])
+    bess = kernels.bessel_j_sequence(xs, caps + 2)
+    small = np.abs(bess) < tol
+    # order m is the first at or below the cap with orders m, m+1, m+2 all small
+    runs = small[:-2] & small[1:-1] & small[2:]
+    runs[np.arange(runs.shape[0])[:, None] > caps] = False
+    found = runs.any(axis=0)
+    if not found.all():
+        j = int(np.argmin(found))
+        raise ChebyshevConvergenceError(
+            f"no truncation order below cap {caps[j]} for x={xs[j]:g}, tol={tol:g}"
+        )
+    terms = np.argmax(runs, axis=0) + 1
+    table = 2.0 * bess[: terms.max()]
+    table[0] *= 0.5
+    table[np.arange(table.shape[0])[:, None] >= terms] = 0.0
     return table, terms
 
 
@@ -219,8 +221,9 @@ def _light_cone_window(n: int, periodic: bool, a: int, b: int, k: int):
 # this many for the fixed cost of its numpy calls (measured on 2 cores: about
 # 13 us per step, against 10-18 ns per site update)
 _STEP_SITES = 1000
-# each z pays this many per order of its expansion for its coefficients,
-# whose Bessel recurrence runs in a Python loop (measured: about 2 us per order)
+# each z pays this many per order of its expansion for its coefficients: a
+# Bessel recurrence run for one x at a time took about 2 us per order; one
+# recurrence over a table's every x takes less per x (0.2 us at 100 x)
 _COEFF_SITES = 150
 
 
@@ -251,7 +254,8 @@ def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table, 
     holds the terms[j] coefficients at halfwidth*zvals[j]; ``terms`` must not
     fall. One recurrence serves every z, on the light-cone window of the rows'
     joint support at the largest order: sites outside a z's own light cone
-    stay exactly 0, and inside it the bits are those of the whole lattice."""
+    stay exactly 0, and inside it the result is the whole lattice's to
+    rounding (a one-column call keeps its bits)."""
     n, periodic = rows.shape[-1], bool(np.any(corner != 0.0))
     support = np.flatnonzero(np.any(rows.reshape(-1, n) != 0.0, axis=0))
     a, b = int(support[0]), int(support[-1])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from wavewalk import ConfigError, load_config, make_initial_state, validate_config
-from wavewalk import config
+from wavewalk import DephasingSpec, config, ensembles
 from wavewalk.cli import main
 from wavewalk.config import _REQUIRED, _SCHEMA, READS
 
@@ -451,6 +451,34 @@ def test_dephasing_grid_too_long_to_plan_is_refused_unplanned(monkeypatch):
     monkeypatch.setattr(config, "_plan_segments", plan)
     with pytest.raises(ConfigError, match=r"^zgrid\.stop: "):
         load_config(LONG_SEGMENT)
+
+
+# 100 000 noise segments of 0.01, the ceiling, on 11 sites
+MANY_SEGMENTS = {"experiment": "dephasing", "lattice": {"n_sites": 11},
+                 "zgrid": {"stop": 1000.0, "steps": 2},
+                 "dephasing": {"segment_length": 0.01, "phase_strength": 1.0}}
+
+
+def test_dephasing_segments_too_many_to_plan_are_refused_unplanned(monkeypatch):
+    # every segment's call holds at least its end, so the budget refuses
+    # 100 000 segments from that bound alone, before they are planned; the
+    # no-noise control counts its segments without planning them, in the
+    # loader and in the run
+    def plan(*args):
+        raise AssertionError("segments planned")
+
+    monkeypatch.setattr(config, "_plan_segments", plan)
+    monkeypatch.setattr(ensembles, "_plan_segments", plan)
+    with pytest.raises(ConfigError, match=r"^zgrid\.stop: "):
+        load_config(MANY_SEGMENTS)
+    control = {**MANY_SEGMENTS, "dephasing": {"segment_length": 0.01, "phase_strength": 0.0}}
+    cfg = load_config(control)
+    stats = ensembles.evolve_dephasing(cfg.lattice_spec(), DephasingSpec(0.01, 0.0),
+                                       cfg.initial(), cfg.zgrid_obj(), 1, 0)
+    assert stats.mean_intensity.shape == (2, 11)
+    with pytest.raises(ValueError, match="whole number of segments"):
+        ensembles.evolve_dephasing(cfg.lattice_spec(), DephasingSpec(0.03, 0.0), cfg.initial(),
+                                   cfg.zgrid_obj(), 1, 0)
 
 
 def _workload_configs():

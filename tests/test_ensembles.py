@@ -1,5 +1,7 @@
 """Disorder sampling, deterministic ensembles, dephasing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -154,14 +156,59 @@ def test_disorder_block_size_does_not_change_statistics(monkeypatch):
             assert np.array_equal(getattr(other, name), getattr(stats[0], name)), name
 
 
+def _block_cells(n, nz):
+    # per site and realization: nz states, the kernel's stored chunk of
+    # max(nz, 16) vectors, and 8; one realization's worth more per block
+    return (_disorder_block(n, nz) + 1) * (nz + max(nz, 16) + 8) * n
+
+
 def test_disorder_block_shrinks_on_large_lattices():
     # 32 realizations where a block is small, fewer down to one where its
-    # (nz + 4) complex cells per site and realization would pass _BLOCK_CELLS
-    assert _disorder_block(99, 61) == 32
-    assert _disorder_block(4000, 101) == 2
-    assert _disorder_block(100_000, 100) == _disorder_block(10_000_000, 1) == 1
-    for n, nz in ((99, 61), (4000, 101), (2000, 201), (500, 1)):
-        assert _disorder_block(n, nz) * (nz + 4) * n <= _BLOCK_CELLS
+    # complex cells would pass _BLOCK_CELLS
+    assert _disorder_block(10, 101) == 32
+    assert _disorder_block(99, 61) == 16
+    assert _disorder_block(4000, 101) == _disorder_block(100_000, 100) == 1
+    assert _disorder_block(10_000_000, 1) == 1
+    for n, nz in ((10, 101), (99, 61), (400, 11), (150, 201), (500, 1)):
+        assert _disorder_block(n, nz) > 1
+        assert _block_cells(n, nz) <= _BLOCK_CELLS
+
+
+def _traced_peak(run) -> int:
+    """Peak bytes that numpy and Python allocate while ``run()`` runs, after
+    a small ensemble has loaded every module an ensemble imports on first use."""
+    run_ensemble(uniform_lattice(10), DisorderSpec(0.5, 0.0), SingleSite(5),
+                 ZGrid(np.linspace(0.0, 1.0, 3)), 2, 3)
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n,nz", [(99, 61), (400, 11), (150, 201)])
+def test_disorder_block_stays_within_its_cells(n, nz):
+    # one block at the size _disorder_block picks, the ensemble's enclosure
+    # and coefficient table set up beforehand
+    lat = uniform_lattice(n)
+    grid = ZGrid(np.linspace(0.0, 30.0, nz))
+    block_rows = _disorder_block_rows(lat, DisorderSpec(0.5, 1.0),
+                                      make_initial_state(SingleSite(n // 2), n), grid, POLICY)
+    size = _disorder_block(n, nz)
+    peak = _traced_peak(lambda: [None for _ in block_rows(0, size)])
+    assert peak <= 16 * _BLOCK_CELLS
+
+
+def test_small_lattice_to_long_z_stays_within_the_column_update_peak():
+    # 400 realizations of 10 sites to z = 1000 at 101 grid points: the
+    # coefficient table, the stored vectors and the blocks together peak no
+    # higher than the 7.3 MiB that the per-z column updates of the kernel
+    # peaked at before the vectors were stored
+    grid = ZGrid(np.linspace(0.0, 1000.0, 101))
+    peak = _traced_peak(lambda: run_ensemble(uniform_lattice(10), DisorderSpec(0.5, 0.0),
+                                             SingleSite(5), grid, 400, 3))
+    assert peak <= 7.3 * 2**20
 
 
 def test_dephasing_ensemble_sums_block_by_block():

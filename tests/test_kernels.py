@@ -1,6 +1,8 @@
 """Kernel-level checks: Bessel sequences against scipy, the tridiagonal
 matvec against a dense product, and block calls against row-by-row calls."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import jv
 
 from wavewalk import kernels
+from wavewalk.propagators import _order_cap
 
 
 def rng(seed=0):
@@ -39,6 +42,49 @@ def test_bessel_sequence_at_zero_is_delta():
 def test_bessel_j0_below_one_is_accurate():
     # Miller's recurrence serves small arguments too
     assert abs(kernels.bessel_j_sequence(0.5, 10)[0] - jv(0, 0.5)) < 1e-14
+
+
+def _miller_one_x(x, nmax):
+    """The loop form of Miller's recurrence for one x, as the vectorized
+    kernel must reproduce it bit for bit."""
+    if x == 0.0:
+        return np.eye(1, nmax + 1).ravel()
+    n_top = max(nmax, int(x) + 40 + int(2.0 * math.sqrt(x)))
+    m_start = n_top + 40 + int(2.0 * math.sqrt(n_top))
+    ratios = np.empty(n_top + 1)
+    rn = 0.0
+    for n in range(m_start, 0, -1):
+        den = 2.0 * n / x - rn
+        if den == 0.0:
+            den = 1e-290
+        rn = 1.0 / den
+        if n <= n_top:
+            ratios[n] = rn
+    f = np.empty(n_top + 1)
+    f[0] = 1.0
+    norm = 1.0
+    for n in range(1, n_top + 1):
+        f[n] = f[n - 1] * ratios[n]
+        if n % 2 == 0:
+            norm += 2.0 * f[n]
+    return f[: nmax + 1] / norm
+
+
+# (half-width, grid points, largest z): the arguments of four coefficient tables
+BESSEL_GRIDS = [(2.0, 100, 10.0), (2.0, 80, 8.0), (2.0, 80, 1000.0), (3.0, 60, 30.0)]
+
+
+@pytest.mark.parametrize("halfwidth,nz,zmax", BESSEL_GRIDS)
+def test_bessel_sequences_of_a_grid_have_the_bits_of_one_call_per_x(halfwidth, nz, zmax):
+    # one recurrence over every x of a table, each from its own starting order
+    xs = halfwidth * np.linspace(0.0, zmax, nz)
+    nmax = np.array([_order_cap(x) + 2 for x in xs])
+    seq = kernels.bessel_j_sequence(xs, nmax)
+    assert seq.shape == (nmax.max() + 1, nz)
+    for j, (x, m) in enumerate(zip(xs, nmax)):
+        assert np.array_equal(seq[: m + 1, j], _miller_one_x(float(x), int(m))), j
+        assert np.array_equal(kernels.bessel_j_sequence(x, m), seq[: m + 1, j]), j
+        assert not np.any(seq[m + 1 :, j])
 
 
 @settings(max_examples=40, deadline=None)
@@ -108,6 +154,37 @@ def test_numpy_kernels_take_couplings_and_corners_row_by_row():
         assert np.array_equal(
             acc[i], kernels.chebyshev_apply(diag[i], off[i], corner[i], 0.3, 5.0, coeffs, x[i])
         )
+
+
+# (sites, states, terms of each column): a chunk of 16 stored terms, then
+# many columns on a small lattice, where one product over the whole block
+# would give other bits than a product per state
+BLOCK_SHAPES = {"chunks": (60, 7, [1, 9, 17, 18, 33, 40]),
+                "many_columns": (10, 32, list(range(150, 251)))}
+
+
+@pytest.mark.parametrize("shape", list(BLOCK_SHAPES))
+@pytest.mark.parametrize("corner", [0.0, 0.7])
+def test_a_state_has_the_same_bits_alone_as_inside_a_block(corner, shape):
+    # each state of a 2-d call forms its columns as a product of its own, of
+    # a shape set by K, nz and the window only: its bits do not depend on the
+    # other states of the block, each with its own H
+    n, rows, terms = BLOCK_SHAPES[shape]
+    r = rng(9)
+    diag = r.normal(size=(rows, n))
+    off = r.uniform(0.5, 1.5, size=(rows, n - 1))
+    corners = np.full(rows, corner)
+    x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
+    terms = np.array(terms)
+    coeffs = r.normal(size=(terms[-1], terms.size)) / terms[-1]
+    block = kernels.chebyshev_apply(diag, off, corners, 0.3, 5.0, coeffs, x, terms=terms)
+    for i in range(rows):
+        alone = kernels.chebyshev_apply(diag[i], off[i], corner, 0.3, 5.0, coeffs, x[i],
+                                        terms=terms)
+        assert np.array_equal(block[:, i].view(np.uint64), alone.view(np.uint64)), i
+        one = kernels.chebyshev_apply(diag[i:i + 1], off[i:i + 1], corners[i:i + 1], 0.3, 5.0,
+                                      coeffs, x[i:i + 1], terms=terms)
+        assert np.array_equal(block[:, i:i + 1].view(np.uint64), one.view(np.uint64)), i
 
 
 def test_active_backend_reported():
