@@ -34,6 +34,7 @@ from .lattice import (
 from .propagators import (
     _CHEBYSHEV_TOL,
     _MAX_CHEBYSHEV_TOL,
+    _REALIZATION_WORK,
     ZGrid,
     _chebyshev_work,
 )
@@ -63,7 +64,7 @@ _OWN_BLOCK = {"disorder": "disorder", "dephasing": "dephasing",
 _REQUIRED = object()  # the default of a key that has none
 
 # ensemble size ceiling, 100 times the largest committed ensemble (1 000);
-# the disorder and dephasing work budgets bound what a run may cost below it
+# the work ceiling bounds what a run may cost below it
 _MAX_REALIZATIONS = 100_000
 
 
@@ -292,37 +293,28 @@ _MAX_EIGEN_BYTES = 2 ** 29
 # have at most 1.01e6 (ballistic_n10k)
 _MAX_CELLS = 10_000_000
 
-# budgets on the Chebyshev work of a run, in site updates: the sum of
-# _chebyshev_work over the light-cone calls its engine makes
-# (_check_chebyshev_work). A launch's unit takes at most about 10 ns on 2
-# cores (window updates take less), so this bounds a ballistic, boundary-sweep
-# or dephasing run at about 5 s. Admitted maxima: configs/dephasing.json and
-# the dephasing_ensemble workload 1.9e8 (toy 8.5e7); ballistic_n10k 4.0e6
-# (toy 5.2e5), boundary_carpet 3.5e6 (toy 7.2e5), configs/boundary_sweep.json
-# 2.9e6, configs/stress_n10000.json 1.9e5
-_MAX_WORK = 500_000_000
-
-
-# a disorder ensemble also pays, per realization, this for its fixed cost
-# (about 100 us), and _CELL_WORK per site and grid point (plus two) for its
-# sampling, intensities and reduction (25-57 ns each). A block's unit takes
-# 1.2-5 ns on 2 cores, less than a launch's, hence a ceiling of its own, at
-# most about 10 s: the disorder_ensemble workload and configs/disorder.json
-# estimate 1.1e9 (about 1.6 s), criterion 4 1.0e8
-_REALIZATION_WORK = 50_000
-_CELL_WORK = 12
-_MAX_DISORDER_WORK = 2_000_000_000
+# the one ceiling on the work of a Chebyshev run: the sum of _chebyshev_work
+# over the light-cone calls its engine makes, plus _REALIZATION_WORK per
+# disorder realization (_check_chebyshev_work), in units of about one site
+# update of the recurrence. Near the ceiling a unit took 2.5-13 ns on 2
+# cores, in-process and with the artifacts written, so an admitted run takes
+# at most about 4.5 s. Admitted maxima: configs/disorder.json and the
+# disorder_ensemble workload 1.1e8, configs/dephasing.json and the
+# dephasing_ensemble workload 1.1e8 (toy 5.2e7), criterion 4 3.9e7,
+# ballistic_n10k 6.0e6, boundary_carpet 3.2e6
+_MAX_WORK = 350_000_000
 
 
 def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
-    """Refuse a Chebyshev run whose estimated work is above its budget, before
-    anything is allocated. The estimate is ``_chebyshev_work`` summed over the
-    light-cone calls the run's engine makes, one per block of rows, on a
-    bound of the engine's enclosure half-width: half the spread of the
+    """Refuse a Chebyshev run whose estimated work is above ``_MAX_WORK``,
+    before anything is allocated. The estimate is ``_chebyshev_work`` summed
+    over the light-cone calls the run's engine makes, one per block of rows,
+    on a bound of the engine's enclosure half-width: half the spread of the
     diagonal plus the largest disc radius, at most twice the largest
     coupling, padded as the engine pads it. A dephasing block makes one call
     per noise segment (``_plan_segments``), counted on the whole lattice; a
-    disorder realization adds its fixed cost and its cells."""
+    disorder ensemble shares one table among its blocks, and each
+    realization adds its fixed cost."""
     lattice, zgrid = cfg["lattice"], cfg["zgrid"]
     n, periodic = lattice["n_sites"], lattice["boundary"] == "periodic"
     spread = (float(np.mean(lattice["coupling"])) if minus_degree
@@ -335,7 +327,7 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
         a, b = sorted(ini["sites"])
     else:  # a Gaussian launch may reach every site
         a, b = 0, n - 1
-    nr, key, budget, blocks, fixed = cfg["n_realizations"], "zgrid.stop", _MAX_WORK, 1, 0
+    nr, key, blocks, fixed = cfg["n_realizations"], "zgrid.stop", 1, 0
     noisy = cfg["experiment"] == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0
     calls = [(a, b, 1, zvals)]  # (first and last site, rows, z values) of each call
     if cfg["experiment"] == "boundary_sweep":
@@ -352,21 +344,16 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
     elif cfg["experiment"] == "disorder":
         halfwidth += _disorder_pad(lattice["coupling"], minus_degree, **cfg["disorder"])
         rows = min(nr, _disorder_block(n, len(zvals)))
-        key, budget, blocks = "n_realizations", _MAX_DISORDER_WORK, -(-nr // rows)
-        fixed = nr * (_REALIZATION_WORK + _CELL_WORK * (len(zvals) + 2) * n)
+        key, blocks, fixed = "n_realizations", -(-nr // rows), nr * _REALIZATION_WORK
         calls = [(a, b, rows, zvals)]
 
     def charge(calls, count=1):
-        work = fixed
-        for a, b, rows, zs in calls:
-            if work > budget:
-                break
-            work += count * blocks * _chebyshev_work(n, periodic, a, b, rows, halfwidth, zs,
-                                                     budget // (count * blocks))
-        if work > budget:
+        work = fixed + sum(_chebyshev_work(n, periodic, a, b, rows, halfwidth, zs, count * blocks)
+                           for a, b, rows, zs in calls)
+        if work > _MAX_WORK:
             runs = f"{nr} realizations to z = " if key == "n_realizations" else ""
             _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
-                 f"work above the budget of {budget:.0e} site updates")
+                 f"work above the ceiling of {_MAX_WORK:.1e} units")
 
     charge(calls)
     if cfg["experiment"] == "dephasing":  # the no-noise control checks its segments too

@@ -266,9 +266,10 @@ def _plan_segments(zvals, segment_length: float) -> list:
     each such row with the index of its offset, and ``end`` is the end's.
 
     A block of histories makes one light-cone call per segment, at its
-    offsets, and the loader charges each block one ``_chebyshev_work`` per
-    segment. ``zvals[-1]`` must be a whole number of segments (relative
-    1e-9), and at most _MAX_SEGMENTS (``_segment_count``)."""
+    offsets, and the loader charges one ``_chebyshev_work`` per segment for
+    every block, with the segment's table once. ``zvals[-1]`` must be a
+    whole number of segments (relative 1e-9), and at most _MAX_SEGMENTS
+    (``_segment_count``)."""
     dz = segment_length
     n = _segment_count(float(zvals[-1]), dz)
     gi = 0

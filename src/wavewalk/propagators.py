@@ -217,33 +217,40 @@ def _light_cone_window(n: int, periodic: bool, a: int, b: int, k: int):
     return max(0, a - k), min(n, b + k + 1), False
 
 
-# a recurrence step on R rows of a W-site window costs R*W site updates, plus
-# this many for the fixed cost of its numpy calls (measured on 2 cores: about
-# 13 us per step, against 10-18 ns per site update)
+# The work model of a light-cone call, in units of about one complex site
+# update of the recurrence (4-30 ns on 2 cores, by block shape). A
+# recurrence step on R rows of a W-site window costs R*W units, plus this
+# many for the fixed cost of its numpy calls (about 13 us a step)
 _STEP_SITES = 1000
-# each z pays this many per order of its expansion for its coefficients: a
-# Bessel recurrence run for one x at a time took about 2 us per order; one
-# recurrence over a table's every x takes less per x (0.2 us at 100 x)
+# the per-state products form the nz columns from the K stored terms at
+# 0.11-0.25 ns per term, column and site: 1/_PRODUCT_TERMS of a unit
+_PRODUCT_TERMS = 32
+# an output cell: its state, intensity and reduction (25-57 ns)
+_CELL_SITES = 4
+# a coefficient: one order of one z in the table's Bessel recurrence (about
+# 2 us per order for one z, 0.2 us per z at 100 z)
 _COEFF_SITES = 150
+# a disorder realization's fixed cost: its stream, sampling, Hamiltonian and
+# reduction calls (about 100 us, 2-site runs of 5 000 to 20 000 realizations)
+_REALIZATION_WORK = 10_000
 
 
 def _chebyshev_work(n: int, periodic: bool, a: int, b: int, rows: int, halfwidth: float,
-                    zvals, limit: int) -> int:
-    """Site updates of one light-cone Chebyshev recurrence that serves every z
-    in ``zvals`` (ascending) for ``rows`` states that vanish outside sites
-    a..b, each order K taken at its ceiling: K_max recurrence steps on the
-    window W of K_max, then for each z, K(z) updates of W and K(z)
-    coefficients. The sum stops once it passes ``limit``, so that refusing a
-    huge grid costs little."""
+                    zvals, calls: int = 1) -> int:
+    """Work of ``calls`` light-cone calls that share one coefficient table,
+    each taking ``rows`` states that vanish outside sites a..b to every z of
+    ``zvals`` (ascending), every order K taken at its ceiling. Each call pays
+    K_max recurrence steps on the window W of K_max, the per-state products
+    of its nz columns and its nz*rows*n output cells; the table of at most
+    K_max*nz coefficients is paid once. A closed form, so a huge grid costs
+    no more to charge than a small one."""
+    nz = len(zvals)
     k_max = _order_cap(halfwidth * zvals[-1])
     lo, hi, _ = _light_cone_window(n, periodic, a, b, k_max)
     window = rows * (hi - lo)
-    work = k_max * (window + _STEP_SITES)
-    for z in zvals:
-        if work > limit:
-            break
-        work += _order_cap(halfwidth * z) * (window + _COEFF_SITES)
-    return work
+    call = (k_max * (window + _STEP_SITES) + k_max * nz * window // _PRODUCT_TERMS
+            + _CELL_SITES * nz * rows * n)
+    return calls * call + k_max * nz * _COEFF_SITES
 
 
 def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table, terms,

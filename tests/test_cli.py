@@ -27,6 +27,7 @@ from wavewalk.cli import _fmt, _write_matrix_csv, main, run_experiment
 from wavewalk.ensembles import ROW_SUM_TOL
 from wavewalk.propagators import (
     _CHEBYSHEV_TOL,
+    _PRODUCT_TERMS,
     _STEP_SITES,
     _chebyshev_coefficients,
     _chebyshev_enclosure,
@@ -141,11 +142,11 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         ({**SMALL, "experiment": "ballistic",
           "initial_state": {"kind": "gaussian", "center": 10.5, "width": 0.01}},
          2, "config error: initial_state.width"),
-        # refused by the Chebyshev work budget, which the noise widens
+        # refused by the Chebyshev work ceiling, which the noise widens
         ({**SMALL, "experiment": "dephasing", "n_realizations": 2,
           "dephasing": {"segment_length": 0.5, "phase_strength": 1e300}},
          2, "config error: zgrid.stop"),
-        # refused by the Chebyshev work budget before the order ceiling is met
+        # refused by the Chebyshev work ceiling before the order ceiling is met
         ({**SMALL, "experiment": "ballistic", "zgrid": {"stop": 1e300, "steps": 2},
           "propagator": {"method": "chebyshev"}},
          2, "config error: zgrid.stop"),
@@ -188,7 +189,7 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
           "zgrid": {"stop": 1000.0, "steps": 3},
           "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}},
          2, "config error: dephasing.segment_length"),
-        # Chebyshev work above the budget: 8e5 terms on 3 sites, and a sweep
+        # Chebyshev work above the ceiling: 8e5 terms on 3 sites, and a sweep
         # whose work grows tenfold with each tenfold in z
         ({"experiment": "ballistic", "lattice": {"n_sites": 3},
           "zgrid": {"stop": 4e5, "steps": 2}, "propagator": {"method": "chebyshev"}},
@@ -199,7 +200,7 @@ def test_unread_key_exits_2_naming_it(tmp_path, capsys, payload, key):
         # 80 GB of z values, refused before the grid is built
         ({**SMALL, "experiment": "ballistic", "zgrid": {"stop": 1.0, "steps": 10**10}},
          2, "config error: zgrid.steps"),
-        # dephasing work above the budget: unbudgeted, each runs past 5 s,
+        # dephasing work above the ceiling: unchecked, each runs past 5 s,
         # the first about 10 s on 2 cores
         ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 1.0, "steps": 3},
           "dephasing": {"segment_length": 0.5, "phase_strength": 1e6}, "n_realizations": 3},
@@ -523,8 +524,8 @@ def test_workers_variable_is_ignored(tmp_path):
     # the no-noise control: one clean launch
     {"experiment": "dephasing", "lattice": {"n_sites": 301}, "zgrid": {"stop": 20.0, "steps": 5},
      "dephasing": {"segment_length": 0.5, "phase_strength": 0.0}, "n_realizations": 5},
-    # two blocks of realizations, the second partly filled, under their own
-    # budget, which adds a fixed cost per realization
+    # two blocks of realizations, the second partly filled; each realization
+    # adds a fixed cost
     {"experiment": "disorder", "lattice": {"n_sites": 41}, "zgrid": {"stop": 20.0, "steps": 5},
      "disorder": {"offdiag_strength": 0.5, "diag_strength": 1.0}, "n_realizations": 40},
     # grid rows inside the noise segments, so most segments end between rows
@@ -534,30 +535,37 @@ def test_workers_variable_is_ignored(tmp_path):
     {"experiment": "disorder", "zgrid": {"stop": 10.0, "steps": 6},
      "lattice": {"n_sites": 40, "boundary": "periodic", "diag_convention": "minus_degree_gamma"},
      "disorder": {"offdiag_strength": 0.4}, "n_realizations": 40},
+    # a small lattice far out in z, where the per-state products of 101
+    # columns outweigh the recurrence
+    {"experiment": "disorder", "lattice": {"n_sites": 10}, "zgrid": {"stop": 1000.0, "steps": 101},
+     "disorder": {"offdiag_strength": 0.5}, "n_realizations": 40},
 ], ids=["two_site", "ring", "boundary_sweep", "dephasing", "dephasing_ring", "dephasing_control",
-        "disorder", "dephasing_mid_segment", "disorder_ring_minus_degree"])
+        "disorder", "dephasing_mid_segment", "disorder_ring_minus_degree", "disorder_long_z"])
 def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     # the loader charges every light-cone call the run makes, each expansion
-    # at its order ceiling, so its estimate bounds the site updates the run
-    # performs, here within a factor of 10
-    budget, key = (("_MAX_DISORDER_WORK", "n_realizations") if payload["experiment"] == "disorder"
-                   else ("_MAX_WORK", "zgrid.stop"))
+    # at its order ceiling, so its estimate bounds the work the run performs,
+    # here within a factor of 10, against the one ceiling
+    key = "n_realizations" if payload["experiment"] == "disorder" else "zgrid.stop"
     cfg = config.load_config(payload)
     done = []
     apply = kernels.chebyshev_apply
 
     def counting(diag, off, corner, center, halfwidth, coeffs, psi, terms=None, out=None):
-        # the recurrence steps, then one update of the window per term of each column
+        # the recurrence steps; then a one-column table's streamed sum, one
+        # update of the window per term, or else every term of every column
+        # for each state, at the weight the model gives the per-state products
         counts = [coeffs.shape[0]] if terms is None else terms
-        done.append((max(counts) - 1) * (psi.size + _STEP_SITES) + psi.size * sum(counts))
+        k, n_cols = max(counts), len(counts)
+        sums = k * psi.size if n_cols == 1 else k * n_cols * psi.size // _PRODUCT_TERMS
+        done.append((k - 1) * (psi.size + _STEP_SITES) + sums)
         return apply(diag, off, corner, center, halfwidth, coeffs, psi, terms=terms, out=out)
 
     monkeypatch.setattr(kernels, "chebyshev_apply", counting)
     run_experiment(cfg, output_dir=str(tmp_path))
-    monkeypatch.setattr(config, budget, sum(done) - 1)
+    monkeypatch.setattr(config, "_MAX_WORK", sum(done) - 1)
     with pytest.raises(config.ConfigError, match=key):
         config.load_config(payload)
-    monkeypatch.setattr(config, budget, 10 * sum(done))
+    monkeypatch.setattr(config, "_MAX_WORK", 10 * sum(done))
     config.load_config(payload)
 
 

@@ -212,7 +212,7 @@ INVALID = [
     # a billion noise segments: above the segment ceiling
     ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1000.0},
      "dephasing": {"segment_length": 1e-6, "phase_strength": 1.0}}, "dephasing.segment_length"),
-    # Chebyshev work above the budget
+    # Chebyshev work above the ceiling
     ({"experiment": "ballistic", "lattice": {"n_sites": 3}, "zgrid": {"stop": 4e5, "steps": 2},
      "propagator": {"method": "chebyshev"}}, "zgrid.stop"),
     ({"experiment": "boundary_sweep", "lattice": {"n_sites": 400},
@@ -222,7 +222,7 @@ INVALID = [
     # 80 GB of z values, refused before the grid is built
     ({"experiment": "ballistic", "lattice": {"n_sites": 9},
       "zgrid": {"stop": 1.0, "steps": 10**10}}, "zgrid.steps"),
-    # dephasing Chebyshev work above the budget: a strong noise widens the
+    # dephasing Chebyshev work above the ceiling: a strong noise widens the
     # enclosure, and a long segment lengthens each expansion
     ({"experiment": "dephasing", "lattice": {"n_sites": 10}, "zgrid": {"stop": 1.0, "steps": 3},
       "dephasing": {"segment_length": 0.5, "phase_strength": 1e6}, "n_realizations": 3},
@@ -380,13 +380,12 @@ OVERSIZED = [
     # 10^11 output cells, 745 GiB of probabilities
     ({"experiment": "classical", "lattice": {"n_sites": 100_000},
       "zgrid": {"stop": 1.0, "steps": 1_000_000}}, "zgrid.steps"),
-    # disorder work above the budget: 32 realizations of 4 000 sites to z = 300,
-    # in blocks of 2, estimated at 4.6e9 and measured at 17 s on 2 cores
-    # (extrapolated from 4)
+    # disorder work above the ceiling: 32 realizations of 4 000 sites to z = 300,
+    # in blocks of 1, estimated at 4.1e8 and measured at 1.8-2.2 s on 2 cores
     ({"experiment": "disorder", "lattice": {"n_sites": 4000},
       "zgrid": {"stop": 300.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 32}, "n_realizations"),
-    # the no-noise dephasing control is a Chebyshev launch, under the work budget
+    # the no-noise dephasing control is a Chebyshev launch, under the work ceiling
     ({"experiment": "dephasing", "lattice": {"n_sites": 3}, "zgrid": {"stop": 4e5, "steps": 2},
       "dephasing": {"segment_length": 4e5, "phase_strength": 0.0}}, "zgrid.stop"),
     # one site past the cap on eigenvectors plus solver workspace: 16*N^2
@@ -399,9 +398,9 @@ OVERSIZED = [
     ({"experiment": "dephasing", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
       "dephasing": {"segment_length": 0.5, "phase_strength": 1.0}, "n_realizations": 100_001},
      "n_realizations"),
-    # disorder work above the budget: 1 000 realizations of 10 sites to a long
-    # z = 2 000, estimated at 5.2e9 and measured at 12.9 s on 2 cores, and
-    # 10^5 of 2 sites, whose fixed cost per realization dominates
+    # disorder work above the ceiling: 1 000 realizations of 10 sites to a long
+    # z = 2 000, estimated at 5.8e8 and measured at 4.8 s on 2 cores, and
+    # 10^5 of 2 sites, whose fixed cost per realization dominates (1.3e9)
     ({"experiment": "disorder", "lattice": {"n_sites": 10},
       "zgrid": {"stop": 2000.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 1000}, "n_realizations"),
@@ -413,19 +412,23 @@ OVERSIZED = [
     # the carpet rows count as output rows
     ({"experiment": "boundary_sweep", "lattice": {"n_sites": 9000}, "zgrid": {"stop": 1.0},
       "sweep": {"input_min": 0, "input_max": 1100}}, "zgrid.steps"),
-    # disorder runs whose sampling, intensities and reduction on every site
-    # and grid point dominate: 32 realizations of 10^7 sites at one z, and
-    # 1 280 of 10^5 sites at 100 z, at 0.6-0.7 s each on 2 cores (the first
-    # extrapolated from 10^6 sites)
+    # disorder runs whose output cells dominate: 32 realizations of 10^7
+    # sites at one z (1.3e9), and 1 280 of 10^5 sites at 100 z (5.1e10), at
+    # 0.6-0.7 s each on 2 cores (the first extrapolated from 10^6 sites)
     ({"experiment": "disorder", "lattice": {"n_sites": 10_000_000},
       "zgrid": {"stop": 1.0, "steps": 1}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 32}, "n_realizations"),
     ({"experiment": "disorder", "lattice": {"n_sites": 100_000},
       "zgrid": {"stop": 1.0, "steps": 100}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 1280}, "n_realizations"),
-    # dephasing work above the budget: a million grid rows in one noise
+    # dephasing work above the ceiling: a million grid rows in one noise
     # segment, each an expansion of its own, refused before they are planned
     (LONG_SEGMENT, "zgrid.stop"),
+    # ten times the admitted long-z ensemble (LONG_Z): 10 000 realizations of
+    # 10 sites to z = 1 000, estimated at 2.6e9
+    ({"experiment": "disorder", "lattice": {"n_sites": 10},
+      "zgrid": {"stop": 1000.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
+      "n_realizations": 10_000}, "n_realizations"),
 ]
 
 
@@ -443,7 +446,7 @@ def test_resource_caps_refuse_before_the_run_allocates(tmp_path, capsys, raw, ke
 
 def test_dephasing_grid_too_long_to_plan_is_refused_unplanned(monkeypatch):
     # every grid row costs at least one expansion at its segment offset, so
-    # the budget refuses a million rows from that bound alone; planning them
+    # the ceiling refuses a million rows from that bound alone; planning them
     # would take time and memory in proportion
     def plan(*args):
         raise AssertionError("segments planned")
@@ -460,7 +463,7 @@ MANY_SEGMENTS = {"experiment": "dephasing", "lattice": {"n_sites": 11},
 
 
 def test_dephasing_segments_too_many_to_plan_are_refused_unplanned(monkeypatch):
-    # every segment's call holds at least its end, so the budget refuses
+    # every segment's call holds at least its end, so the ceiling refuses
     # 100 000 segments from that bound alone, before they are planned; the
     # no-noise control counts its segments without planning them, in the
     # loader and in the run
@@ -489,16 +492,38 @@ def _workload_configs():
             for name in workloads.WORKLOADS for size in ("full", "toy")]
 
 
-def test_resource_caps_admit_the_committed_configs_and_workloads():
+def test_resource_caps_admit_the_committed_configs_and_workloads(monkeypatch):
     raws = [json.loads(path.read_text()) for path in sorted((ROOT / "configs").glob("*.json"))]
     raws += _workload_configs()
     assert len(raws) == 14
     for raw in raws:
         load_config(raw)
+    # with room to spare: a recalibrated ceiling must not crowd them
+    monkeypatch.setattr(config, "_MAX_WORK", config._MAX_WORK // 2)
+    for raw in raws:
+        load_config(raw)
+
+
+# the paper's disorder ensemble run far enough to saturate: 1 000
+# realizations of 10 sites to z = 1 000, estimated at 3.05e8 (2.1-3.5 s on 2 cores)
+LONG_Z = {"experiment": "disorder", "lattice": {"n_sites": 10},
+          "zgrid": {"stop": 1000.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
+          "n_realizations": 1000}
+
+
+@pytest.mark.parametrize("raw", [
+    LONG_Z,
+    # a 10^4-site launch to z = 1 000, estimated at 8.1e7 (0.4-0.9 s)
+    {"experiment": "ballistic", "lattice": {"n_sites": 10_000},
+     "zgrid": {"stop": 1000.0, "steps": 101}, "propagator": {"method": "chebyshev"}},
+], ids=["disorder_long_z", "launch_10k_sites_long_z"])
+def test_work_ceiling_admits_long_runs(raw):
+    load_config(raw)
 
 
 def test_disorder_budget_admits_the_acceptance_ensemble():
-    # criterion 4 runs 1 000 realizations of 99 sites to a single z = 30
+    # criterion 4 runs 1 000 realizations of 99 sites to a single z = 30,
+    # estimated at 3.9e7
     load_config({"experiment": "disorder", "lattice": {"n_sites": 99},
                  "zgrid": {"stop": 30.0, "steps": 1}, "disorder": {"offdiag_strength": 0.5},
                  "n_realizations": 1000})
