@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensembles import _BLOCK, _disorder_block, _disorder_pad, _plan_segments, _segment_count
+from .ensembles import _block, _disorder_pad, _one_segment, _plan_segments, _segment_count
 from .lattice import (
     MAX_SITES,
     Boundary,
@@ -300,7 +300,7 @@ _MAX_CELLS = 10_000_000
 # cores, in-process and with the artifacts written, so an admitted run takes
 # at most about 4.5 s. Admitted maxima: configs/disorder.json and the
 # disorder_ensemble workload 1.1e8, configs/dephasing.json and the
-# dephasing_ensemble workload 1.1e8 (toy 5.2e7), criterion 4 3.9e7,
+# dephasing_ensemble workload 1.1e8 (toy 5.2e7), criterion 4 3.5e7,
 # ballistic_n10k 6.0e6, boundary_carpet 3.2e6
 _MAX_WORK = 350_000_000
 
@@ -308,13 +308,15 @@ _MAX_WORK = 350_000_000
 def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
     """Refuse a Chebyshev run whose estimated work is above ``_MAX_WORK``,
     before anything is allocated. The estimate is ``_chebyshev_work`` summed
-    over the light-cone calls the run's engine makes, one per block of rows,
-    on a bound of the engine's enclosure half-width: half the spread of the
-    diagonal plus the largest disc radius, at most twice the largest
-    coupling, padded as the engine pads it. A dephasing block makes one call
-    per noise segment (``_plan_segments``), counted on the whole lattice; a
-    disorder ensemble shares one table among its blocks, and each
-    realization adds its fixed cost."""
+    over the light-cone calls the run's engine makes, on a bound of the
+    engine's enclosure half-width: half the spread of the diagonal plus the
+    largest disc radius, at most twice the largest coupling, padded as the
+    engine pads it. An ensemble charges each segment of its plan once per
+    block of ``_block`` realizations, the first from the launch sites and
+    later ones on the whole lattice: a disorder realization is one segment
+    (``_one_segment``), a noise history one per noise segment
+    (``_plan_segments``). Each disorder realization adds the fixed cost of
+    its lattice and Hamiltonian."""
     lattice, zgrid = cfg["lattice"], cfg["zgrid"]
     n, periodic = lattice["n_sites"], lattice["boundary"] == "periodic"
     spread = (float(np.mean(lattice["coupling"])) if minus_degree
@@ -327,47 +329,47 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
         a, b = sorted(ini["sites"])
     else:  # a Gaussian launch may reach every site
         a, b = 0, n - 1
-    nr, key, blocks, fixed = cfg["n_realizations"], "zgrid.stop", 1, 0
-    noisy = cfg["experiment"] == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0
-    calls = [(a, b, 1, zvals)]  # (first and last site, rows, z values) of each call
-    if cfg["experiment"] == "boundary_sweep":
-        # a carpet block of every input at zgrid.stop, then the first input's launch
-        lo, hi = cfg["sweep"]["input_min"], cfg["sweep"]["input_max"]
-        calls = [(lo, hi, hi - lo + 1, zvals[-1:]), (lo, lo, 1, zvals)]
-    elif noisy:
-        # each grid row is an offset >= 0 in one segment's call: charged at
-        # offset 0, the rows bound the plan's work from below, so a grid too
-        # long to plan is refused before it is planned
-        halfwidth += 0.5 * cfg["dephasing"]["phase_strength"]
-        blocks = -(-nr // _BLOCK)
-        calls = [(0, n - 1, min(nr, _BLOCK), np.zeros(zvals.size))]
-    elif cfg["experiment"] == "disorder":
-        halfwidth += _disorder_pad(lattice["coupling"], minus_degree, **cfg["disorder"])
-        rows = min(nr, _disorder_block(n, len(zvals)))
-        key, blocks, fixed = "n_realizations", -(-nr // rows), nr * _REALIZATION_WORK
-        calls = [(a, b, rows, zvals)]
+    experiment, nr, key, fixed = cfg["experiment"], cfg["n_realizations"], "zgrid.stop", 0
 
-    def charge(calls, count=1):
-        work = fixed + sum(_chebyshev_work(n, periodic, a, b, rows, halfwidth, zs, count * blocks)
+    def charge(calls, blocks=1):
+        # calls: the (first and last site, rows, z values) of each call
+        work = fixed + sum(_chebyshev_work(n, periodic, a, b, rows, halfwidth, zs, blocks)
                            for a, b, rows, zs in calls)
         if work > _MAX_WORK:
             runs = f"{nr} realizations to z = " if key == "n_realizations" else ""
             _err(key, f"{runs}{zgrid['stop']!r} with {zgrid['steps']} steps needs "
                  f"work above the ceiling of {_MAX_WORK:.1e} units")
 
-    charge(calls)
-    if cfg["experiment"] == "dephasing":  # the no-noise control checks its segments too
+    if experiment == "dephasing":  # with noise or without, a whole number of segments
         dz = cfg["dephasing"]["segment_length"]
         try:
             n_segments = _segment_count(float(zvals[-1]), dz)
         except ValueError as exc:
             _err("dephasing.segment_length", str(exc))
-        if noisy:
-            # every segment's call holds its end: charged alone, the segments
-            # bound the plan's work from below before it is planned
-            charge([(0, n - 1, min(nr, _BLOCK), np.array([dz]))], count=n_segments)
-            charge([(0, n - 1, min(nr, _BLOCK), offsets)
-                    for _, offsets, _ in _plan_segments(zvals, dz)])
+    if experiment == "boundary_sweep":
+        # a carpet block of every input at zgrid.stop, then the first input's launch
+        lo, hi = cfg["sweep"]["input_min"], cfg["sweep"]["input_max"]
+        return charge([(lo, hi, hi - lo + 1, zvals[-1:]), (lo, lo, 1, zvals)])
+    if experiment == "disorder":
+        halfwidth += _disorder_pad(lattice["coupling"], minus_degree, **cfg["disorder"])
+        key, fixed, plan = "n_realizations", nr * _REALIZATION_WORK, _one_segment(zvals)
+    elif experiment == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0:
+        halfwidth += 0.5 * cfg["dephasing"]["phase_strength"]
+        # lower bounds on the plan's work, so that a grid or segments too many
+        # to plan are refused before they are planned: each grid row is an
+        # offset >= 0 in one segment's call, and each segment's call holds its
+        # end, charged from the launch sites on whole blocks of the largest
+        # block any plan may take
+        rows = min(nr, _block(n, 1))
+        charge([(a, b, rows, np.zeros(zvals.size))], nr // rows)
+        charge([(a, b, rows, np.array([dz]))], n_segments * (nr // rows))
+        plan = _plan_segments(zvals, dz)
+    else:  # one launch: a ballistic run or the no-noise dephasing control
+        return charge([(a, b, 1, zvals)])
+    rows = min(nr, _block(n, max(len(offsets) for _, offsets, _ in plan)))
+    (_, first, _), *later = plan
+    charge([(a, b, rows, first)] + [(0, n - 1, rows, offsets) for _, offsets, _ in later],
+           -(-nr // rows))
 
 
 def load_config(raw: dict) -> ExperimentConfig:

@@ -3,16 +3,16 @@
 Seeding contract: realization k draws from a generator seeded by
 (master_seed, spawn_key=(k,)) — a pure function of the pair, so any subset
 of realizations can be reproduced in isolation. Sums run in the calling
-thread in a fixed order, so ensemble statistics are bit-identical across
-runs: disorder adds one realization after another (a left fold); dephasing
-adds the sum over each block of ``_BLOCK`` consecutive histories, one block
-after another, which is not a left fold over histories.
+thread as a left fold over realizations in index order, so ensemble
+statistics are bit-identical across runs and do not depend on the block size.
 
-Both ensembles propagate blocks of R realizations as (R, n) arrays on the
-light-cone Chebyshev routine, on an enclosure padded to hold every
-realization: a disorder block in one call for every grid point, a dephasing
-block in one call per noise segment, at its end and at the grid points it
-meets. The no-noise dephasing control is one clean Chebyshev run.
+Both ensembles run on one engine (``_block_rows``): a block of R
+realizations propagates as (R, n) arrays through the segments of a plan, one
+light-cone Chebyshev call per segment, on an enclosure padded to hold every
+realization. A dephasing history draws fresh site noise for each noise
+segment; a disorder realization is a history of one segment, to the last
+grid point, with its couplings and betas drawn once. The no-noise dephasing
+control is one clean Chebyshev run.
 """
 
 from __future__ import annotations
@@ -118,9 +118,8 @@ class EnsembleStats:
             raise ValueError("SEM must be nonnegative")
 
 
-def sample_disordered_lattice(
-    base: LatticeSpec, d: DisorderSpec, policy: SeedPolicy, k: int
-) -> LatticeSpec:
+def sample_disordered_lattice(base: LatticeSpec, d: DisorderSpec, policy: SeedPolicy,
+                              k: int) -> LatticeSpec:
     """Disorder realization k. Draw order is frozen (couplings, then betas)
     so a realization is a pure function of (master_seed, k)."""
     if d.is_clean:
@@ -130,115 +129,67 @@ def sample_disordered_lattice(
     u_beta = rng.uniform(-1.0, 1.0, size=base.n_sites)
     coupling = base.coupling * (1.0 + d.offdiag_strength * u_coupling)
     beta = base.beta + 0.5 * d.diag_strength * u_beta
-    return LatticeSpec(
-        n_sites=base.n_sites,
-        coupling=coupling,
-        beta=beta,
-        boundary=base.boundary,
-        diag_convention=base.diag_convention,
-    )
+    return LatticeSpec(n_sites=base.n_sites, coupling=coupling, beta=beta, boundary=base.boundary,
+                       diag_convention=base.diag_convention)
+
+
+def _fold(total: np.ndarray, rows, terms: np.ndarray) -> None:
+    """Add the realizations of ``terms`` (its axis 1; axis 0 runs over the
+    grid ``rows``) to ``total[rows]`` one after another: a left fold, run in
+    place in ``terms``."""
+    terms[:, 0] += total[rows]
+    np.add.accumulate(terms, axis=1, out=terms)
+    total[rows] = terms[:, -1]
 
 
 def _reduce_ensemble(block_rows, block: int, zgrid: ZGrid, n_realizations: int, n: int):
-    """Sum into ensemble statistics, in the order given, the pairs of (grid
-    rows, intensities) that ``block_rows(lo, hi)`` yields for each run of
-    ``block`` consecutive realizations; intensities carry one realization per
-    leading index, and the pairs cover each grid row of every realization once."""
+    """Ensemble statistics from the pairs of (grid rows, I) that
+    ``block_rows(lo, hi)`` yields for each run of ``block`` consecutive
+    realizations, I of shape (len(rows), hi - lo, n); the pairs cover each
+    grid row of every realization once. Every sum is a left fold over the
+    realizations in index order, so no bit depends on the block size."""
     nz = len(zgrid)
     # s, s^2 per site, variance and PR per row, each one running sum
     s, s2, var_sum, pr_sum = np.zeros((nz, n)), np.zeros((nz, n)), np.zeros(nz), np.zeros(nz)
     for lo in range(0, n_realizations, block):
         for rows, inten in block_rows(lo, min(lo + block, n_realizations)):
-            s[rows] += np.sum(inten, axis=0)
-            s2[rows] += np.sum(inten * inten, axis=0)
-            var_sum[rows] += np.sum(spread_variance(inten), axis=0)
-            pr_sum[rows] += np.sum(participation_ratio(inten), axis=0)
+            _fold(s2, rows, inten * inten)
+            _fold(var_sum, rows, spread_variance(inten))
+            _fold(pr_sum, rows, participation_ratio(inten))
+            _fold(s, rows, inten)
     nr = float(n_realizations)
     mean = s / nr
-    if n_realizations > 1:
-        var_unbiased = np.maximum(s2 - nr * mean * mean, 0.0) / (nr - 1.0)
-        sem = np.sqrt(var_unbiased / nr)
-    else:
-        sem = np.zeros((nz, n))
-    return EnsembleStats(
-        n_realizations=n_realizations,
-        zgrid=zgrid,
-        mean_intensity=mean,
-        sem_intensity=sem,
-        variance_trace=var_sum / nr,
-        pr_trace=pr_sum / nr,
-    )
+    # unbiased; one realization's s2 - mean^2 is exactly 0, and so is its SEM
+    sem = np.sqrt(np.maximum(s2 - nr * mean * mean, 0.0) / max(nr - 1.0, 1.0) / nr)
+    return EnsembleStats(n_realizations=n_realizations, zgrid=zgrid, mean_intensity=mean,
+                         sem_intensity=sem, variance_trace=var_sum / nr, pr_trace=pr_sum / nr)
 
 
-_DISORDER_BLOCK = 32  # most realizations per disorder block; a memory constant only
-# most complex cells a disorder block holds (3.7 MB). Per site and
-# realization: nz for its states at every z, the chunk of vectors the
+_MAX_BLOCK = 64  # most realizations per block; a memory constant only
+# most complex cells a block holds (3.7 MB). Per site and realization: the
+# widest call's states at each of its cols offsets, the chunk of vectors the
 # Chebyshev kernel stores at a time, and 8 for its initial rows, lattice,
 # Hamiltonian, stacked diagonal and couplings and recurrence temporaries;
 # and one realization's worth more for the kernel's per-state product
 _BLOCK_CELLS = 230_000
 
 
-def _disorder_block(n: int, nz: int) -> int:
-    """Realizations per disorder block on n sites and nz grid points:
-    _DISORDER_BLOCK, fewer where the block would pass _BLOCK_CELLS."""
-    cells = (nz + kernels.store_terms(nz) + 8) * n
-    return max(1, min(_DISORDER_BLOCK, _BLOCK_CELLS // cells - 1))
+def _block(n: int, cols: int) -> int:
+    """Realizations per block on n sites, for a plan whose widest light-cone
+    call has ``cols`` columns: _MAX_BLOCK, fewer where the block would pass
+    _BLOCK_CELLS. The loader charges the blocks it picks."""
+    cells = (cols + kernels.store_terms(cols) + 8) * n
+    return max(1, min(_MAX_BLOCK, _BLOCK_CELLS // cells - 1))
 
 
 def _disorder_pad(coupling, minus_degree: bool, offdiag_strength, diag_strength) -> float:
     """How far past the clean lattice's Gershgorin discs a realization's
     reach: W/2, and w*C per bond (2*w*C on a site), and 2*w*C more under
     minus_degree_gamma, as its diagonal follows its own mean coupling. The
-    disorder block's enclosure and the loader's work estimate both pad by it."""
+    disorder ensemble's enclosure and the loader's work estimate both pad by it."""
     hop = 2.0 * offdiag_strength * float(np.max(coupling))
     return 0.5 * diag_strength + (2.0 if minus_degree else 1.0) * hop
 
-
-def _disorder_block_rows(base: LatticeSpec, d: DisorderSpec, psi0: WaveFunction, zgrid: ZGrid,
-                         policy: SeedPolicy):
-    """The block function of a disorder ensemble: ``block_rows(k_lo, k_hi)``
-    propagates realizations k_lo..k_hi-1 in one light-cone call and yields
-    (every grid row, I of shape (1, nz, n_sites)) one realization at a time,
-    so the sums are a left fold whatever the block size. One enclosure serves
-    all: the clean lattice's, padded by ``_disorder_pad``."""
-    pad = _disorder_pad(base.coupling, base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA,
-                        d.offdiag_strength, d.diag_strength)
-    center, halfwidth = _chebyshev_enclosure(build_hamiltonian(base), pad=pad)
-    table, terms = _chebyshev_table(halfwidth * zgrid.values, _CHEBYSHEV_TOL)
-
-    def block_rows(k_lo: int, k_hi: int):
-        hs = [build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
-              for k in range(k_lo, k_hi)]
-        amps = _light_cone_rows(
-            np.array([h.diag for h in hs]), np.array([h.offdiag for h in hs]),
-            np.array([h.corner for h in hs]), center, halfwidth, table, terms,
-            np.tile(psi0.amps, (len(hs), 1)), zgrid.values)
-        for r in range(len(hs)):
-            yield slice(None), (np.abs(amps[:, r]) ** 2)[None]
-
-    return block_rows
-
-
-def run_ensemble(
-    base: LatticeSpec,
-    d: DisorderSpec,
-    init: InitialState,
-    zgrid: ZGrid,
-    n_realizations: int,
-    master_seed: int,
-) -> EnsembleStats:
-    """Evolve n_realizations disorder samples, a block of them at a time on
-    the light-cone Chebyshev routine, and accumulate statistics."""
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
-    block_rows = _disorder_block_rows(base, d, make_initial_state(init, base.n_sites), zgrid,
-                                      SeedPolicy(master_seed))
-    return _reduce_ensemble(block_rows, _disorder_block(base.n_sites, len(zgrid)), zgrid,
-                            n_realizations, base.n_sites)
-
-
-_BLOCK = 64  # histories per dephasing batch; fixed, as a batch adds one sum per grid row
 
 # ceiling on the noise segments of one history, checked before they are
 # planned; the committed dephasing runs use 80
@@ -266,10 +217,8 @@ def _plan_segments(zvals, segment_length: float) -> list:
     each such row with the index of its offset, and ``end`` is the end's.
 
     A block of histories makes one light-cone call per segment, at its
-    offsets, and the loader charges one ``_chebyshev_work`` per segment for
-    every block, with the segment's table once. ``zvals[-1]`` must be a
-    whole number of segments (relative 1e-9), and at most _MAX_SEGMENTS
-    (``_segment_count``)."""
+    offsets. ``zvals[-1]`` must be a whole number of segments (relative
+    1e-9), and at most _MAX_SEGMENTS (``_segment_count``)."""
     dz = segment_length
     n = _segment_count(float(zvals[-1]), dz)
     gi = 0
@@ -288,21 +237,62 @@ def _plan_segments(zvals, segment_length: float) -> list:
     return segments
 
 
-def _dephasing_block_rows(
-    h0: Hamiltonian,
-    psi0: WaveFunction,
-    deph: DephasingSpec,
-    segments: list,
-    policy: SeedPolicy,
-):
-    """The block function of a dephasing ensemble: ``block_rows(k_lo, k_hi)``
-    propagates noise histories k_lo..k_hi-1 together through ``segments``
-    (``_plan_segments``), each history drawing its segment noise in order
-    from its own stream, and yields (row, I) one grid row at a time, with I
-    of shape (k_hi - k_lo, n_sites).
+def _one_segment(zvals) -> list:
+    """The plan of a disorder realization: one segment to ``zvals[-1]``
+    whose offsets are the grid, in the form of ``_plan_segments``."""
+    return [([(i, i) for i in range(len(zvals))], tuple(zvals.tolist()), len(zvals) - 1)]
 
-    What every history shares is set up once: the spectral enclosure and one
-    Chebyshev coefficient table per distinct tuple of a segment's offsets."""
+
+def _block_rows(plan: list, center: float, halfwidth: float, draws, psi0: WaveFunction):
+    """The block function of an ensemble: ``block_rows(k_lo, k_hi)``
+    propagates realizations k_lo..k_hi-1 together through the segments of
+    ``plan``, one light-cone call each, segment s on the s-th H that
+    ``draws(k_lo, k_hi)`` yields (its diagonal, couplings and ring corner,
+    each shared or one per realization) expanded about ``center``. For each
+    segment it yields (the grid rows it meets, I of shape (rows, k_hi - k_lo,
+    n_sites)). One coefficient table per distinct tuple of a segment's
+    offsets is set up once, for every block."""
+    tables = {offsets: _chebyshev_table(halfwidth * np.array(offsets), _CHEBYSHEV_TOL)
+              for offsets in {offsets for _, offsets, _ in plan}}
+
+    def block_rows(k_lo: int, k_hi: int):
+        psi = np.tile(psi0.amps, (k_hi - k_lo, 1))
+        for (met, offsets, end), (diag, off, corner) in zip(plan, draws(k_lo, k_hi)):
+            amps = _light_cone_rows(diag, off, corner, center, halfwidth, *tables[offsets],
+                                    psi, offsets)
+            rows, cols = [row for row, _ in met], [j for _, j in met]
+            inten = np.abs(amps if len(cols) == len(offsets) else amps[cols])
+            # the next segment starts from this one's end; the states go
+            # before the block's sums take memory of their own
+            psi, amps = amps[end].copy(), None
+            yield rows, np.square(inten, out=inten)
+
+    return block_rows
+
+
+def _disorder(base: LatticeSpec, d: DisorderSpec, zgrid: ZGrid, policy: SeedPolicy):
+    """A disorder ensemble as (plan, center, halfwidth, draws) for
+    ``_block_rows``: one segment to zgrid.stop whose offsets are the grid,
+    each realization's couplings and betas drawn once, on the clean
+    lattice's enclosure padded by ``_disorder_pad``."""
+    pad = _disorder_pad(base.coupling, base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA,
+                        d.offdiag_strength, d.diag_strength)
+    center, halfwidth = _chebyshev_enclosure(build_hamiltonian(base), pad=pad)
+
+    def draws(k_lo: int, k_hi: int):
+        hs = [build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
+              for k in range(k_lo, k_hi)]
+        yield (np.array([h.diag for h in hs]), np.array([h.offdiag for h in hs]),
+               np.array([h.corner for h in hs]))
+
+    return _one_segment(zgrid.values), center, halfwidth, draws
+
+
+def _dephasing(h0: Hamiltonian, deph: DephasingSpec, zgrid: ZGrid, policy: SeedPolicy):
+    """A dephasing ensemble as (plan, center, halfwidth, draws) for
+    ``_block_rows``: the noise segments of ``_plan_segments``, each history
+    drawing fresh site noise for every segment, in order, from its own
+    stream, on the clean lattice's enclosure padded by the noise."""
     n = h0.n_sites
     half = 0.5 * deph.phase_strength
     center, halfwidth = _chebyshev_enclosure(h0, pad=half)
@@ -310,31 +300,36 @@ def _dephasing_block_rows(
     # does not round the noise away; the phase exp(-i center z) that this drops
     # is the same on every site and cancels in |psi|^2
     shifted = h0.diag - center
-    tables = {offsets: _chebyshev_table(halfwidth * np.array(offsets), _CHEBYSHEV_TOL)
-              for offsets in {offsets for _, offsets, _ in segments}}
 
-    def block_rows(k_lo: int, k_hi: int):
+    def draws(k_lo: int, k_hi: int):
         rngs = [policy.stream(k) for k in range(k_lo, k_hi)]
-        psi = np.tile(psi0.amps, (len(rngs), 1))
-        for met, offsets, end in segments:
-            noisy = shifted + np.array([rng.uniform(-half, half, size=n) for rng in rngs])
-            amps = _light_cone_rows(noisy, h0.offdiag, h0.corner, 0.0, halfwidth,
-                                    *tables[offsets], psi, offsets)
-            for row, j in met:
-                yield row, np.abs(amps[j]) ** 2
-            psi = amps[end]
+        while True:
+            yield (shifted + np.array([rng.uniform(-half, half, size=n) for rng in rngs]),
+                   h0.offdiag, h0.corner)
 
-    return block_rows
+    return _plan_segments(zgrid.values, deph.segment_length), 0.0, halfwidth, draws
 
 
-def evolve_dephasing(
-    base: LatticeSpec,
-    deph: DephasingSpec,
-    init: InitialState,
-    zgrid: ZGrid,
-    n_realizations: int,
-    master_seed: int,
-) -> EnsembleStats:
+def _ensemble_stats(ensemble: tuple, psi0: WaveFunction, zgrid: ZGrid, n_realizations: int):
+    """Statistics of ``n_realizations`` of an ensemble from ``_disorder`` or
+    ``_dephasing``, propagated in blocks of ``_block`` realizations."""
+    n, plan = psi0.n_sites, ensemble[0]
+    block = _block(n, max(len(offsets) for _, offsets, _ in plan))
+    return _reduce_ensemble(_block_rows(*ensemble, psi0), block, zgrid, n_realizations, n)
+
+
+def run_ensemble(base: LatticeSpec, d: DisorderSpec, init: InitialState, zgrid: ZGrid,
+                 n_realizations: int, master_seed: int) -> EnsembleStats:
+    """Evolve n_realizations disorder samples, a block of them at a time on
+    the light-cone Chebyshev routine, and accumulate statistics."""
+    if n_realizations < 1:
+        raise ValueError("n_realizations must be >= 1")
+    return _ensemble_stats(_disorder(base, d, zgrid, SeedPolicy(master_seed)),
+                           make_initial_state(init, base.n_sites), zgrid, n_realizations)
+
+
+def evolve_dephasing(base: LatticeSpec, deph: DephasingSpec, init: InitialState, zgrid: ZGrid,
+                     n_realizations: int, master_seed: int) -> EnsembleStats:
     """Ensemble of temporal-disorder histories (piecewise-constant diagonal noise).
 
     phase_strength = 0 short-circuits to a single clean Chebyshev run
@@ -352,6 +347,5 @@ def evolve_dephasing(
             n_realizations=n_realizations, zgrid=zgrid, mean_intensity=inten,
             sem_intensity=np.zeros_like(inten), variance_trace=spread_variance(inten),
             pr_trace=participation_ratio(inten))
-    segments = _plan_segments(zgrid.values, deph.segment_length)
-    block_rows = _dephasing_block_rows(h0, psi0, deph, segments, SeedPolicy(master_seed))
-    return _reduce_ensemble(block_rows, _BLOCK, zgrid, n_realizations, base.n_sites)
+    return _ensemble_stats(_dephasing(h0, deph, zgrid, SeedPolicy(master_seed)), psi0, zgrid,
+                           n_realizations)

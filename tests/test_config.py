@@ -399,8 +399,8 @@ OVERSIZED = [
       "dephasing": {"segment_length": 0.5, "phase_strength": 1.0}, "n_realizations": 100_001},
      "n_realizations"),
     # disorder work above the ceiling: 1 000 realizations of 10 sites to a long
-    # z = 2 000, estimated at 5.8e8 and measured at 4.8 s on 2 cores, and
-    # 10^5 of 2 sites, whose fixed cost per realization dominates (1.3e9)
+    # z = 2 000, estimated at 4.8e8 and measured at 4.2-4.7 s on 2 cores, and
+    # 10^5 of 2 sites, whose fixed cost per realization dominates (1.2e9)
     ({"experiment": "disorder", "lattice": {"n_sites": 10},
       "zgrid": {"stop": 2000.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 1000}, "n_realizations"),
@@ -425,7 +425,7 @@ OVERSIZED = [
     # segment, each an expansion of its own, refused before they are planned
     (LONG_SEGMENT, "zgrid.stop"),
     # ten times the admitted long-z ensemble (LONG_Z): 10 000 realizations of
-    # 10 sites to z = 1 000, estimated at 2.6e9
+    # 10 sites to z = 1 000, estimated at 2.1e9
     ({"experiment": "disorder", "lattice": {"n_sites": 10},
       "zgrid": {"stop": 1000.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
       "n_realizations": 10_000}, "n_realizations"),
@@ -505,7 +505,7 @@ def test_resource_caps_admit_the_committed_configs_and_workloads(monkeypatch):
 
 
 # the paper's disorder ensemble run far enough to saturate: 1 000
-# realizations of 10 sites to z = 1 000, estimated at 3.05e8 (2.1-3.5 s on 2 cores)
+# realizations of 10 sites to z = 1 000, estimated at 2.5e8 (2.1-2.5 s on 2 cores)
 LONG_Z = {"experiment": "disorder", "lattice": {"n_sites": 10},
           "zgrid": {"stop": 1000.0, "steps": 101}, "disorder": {"offdiag_strength": 0.5},
           "n_realizations": 1000}
@@ -523,7 +523,7 @@ def test_work_ceiling_admits_long_runs(raw):
 
 def test_disorder_budget_admits_the_acceptance_ensemble():
     # criterion 4 runs 1 000 realizations of 99 sites to a single z = 30,
-    # estimated at 3.9e7
+    # estimated at 3.5e7
     load_config({"experiment": "disorder", "lattice": {"n_sites": 99},
                  "zgrid": {"stop": 30.0, "steps": 1}, "disorder": {"offdiag_strength": 0.5},
                  "n_realizations": 1000})

@@ -30,12 +30,11 @@ from wavewalk import (
 )
 from wavewalk import ensembles, kernels
 from wavewalk.ensembles import (
-    _BLOCK,
     _BLOCK_CELLS,
-    _dephasing_block_rows,
-    _disorder_block,
-    _disorder_block_rows,
-    _plan_segments,
+    _block_rows,
+    _dephasing,
+    _disorder,
+    _reduce_ensemble,
 )
 
 
@@ -97,12 +96,12 @@ def test_ensemble_equals_sequential_left_fold():
     # each realization's rows are the engine's, propagated on their own
     grid = ZGrid(np.array([4.0, 11.0]))
     d = DisorderSpec(0.4, 0.0)
-    block_rows = _disorder_block_rows(BASE, d, make_initial_state(SingleSite(49), 99), grid,
-                                      SeedPolicy(99))
+    block_rows = _block_rows(*_disorder(BASE, d, grid, SeedPolicy(99)),
+                             make_initial_state(SingleSite(49), 99))
 
     def one(k):
         [(rows, inten)] = block_rows(k, k + 1)
-        return inten[0]
+        return inten[:, 0]
 
     for n in (3, 6, 130):
         acc = np.zeros((2, 99))
@@ -135,43 +134,48 @@ def test_disorder_block_matches_eigen_per_realization(case):
     grid = ZGrid(np.array([0.0, 0.7, 3.0, 9.0, 25.0]))
     psi0 = make_initial_state(init, lat.n_sites)
     policy = SeedPolicy(31)
-    got = list(_disorder_block_rows(lat, d, psi0, grid, policy)(2, 9))
-    assert len(got) == 7
-    for k, (rows, inten) in zip(range(2, 9), got):
+    # one segment, to the last grid point, that meets every grid row
+    [(rows, inten)] = _block_rows(*_disorder(lat, d, grid, policy), psi0)(2, 9)
+    assert rows == list(range(len(grid))) and inten.shape == (len(grid), 7, lat.n_sites)
+    for r, k in enumerate(range(2, 9)):
         h = build_hamiltonian(sample_disordered_lattice(lat, d, policy, k))
         ref = evolve_eigen(h, psi0, grid).intensities()
-        assert rows == slice(None) and inten.shape == (1,) + ref.shape
-        assert np.max(np.abs(inten[0] - ref)) < 1e-12, k
+        assert np.max(np.abs(inten[:, r] - ref)) < 1e-12, k
 
 
 def test_disorder_block_size_does_not_change_statistics(monkeypatch):
+    # both ensembles fold their realizations one after another, whatever the block
     lat, d, init = DISORDER_CASES["random_beta"]
     grid = ZGrid(np.linspace(0.0, 6.0, 7))
-    stats = []
-    for block in (1, 7, 32):
-        monkeypatch.setattr(ensembles, "_DISORDER_BLOCK", block)
-        stats.append(run_ensemble(lat, d, init, grid, 45, 3))
-    for other in stats[1:]:
-        for name in ("mean_intensity", "sem_intensity", "variance_trace", "pr_trace"):
-            assert np.array_equal(getattr(other, name), getattr(stats[0], name)), name
+    runs = (lambda: run_ensemble(lat, d, init, grid, 45, 3),
+            lambda: evolve_dephasing(lat, DephasingSpec(0.5, 4.0), init, grid, 45, 3))
+    for run in runs:
+        stats = []
+        for block in (1, 7, 32, 64):
+            monkeypatch.setattr(ensembles, "_MAX_BLOCK", block)
+            stats.append(run())
+        for other in stats[1:]:
+            for name in ("mean_intensity", "sem_intensity", "variance_trace", "pr_trace"):
+                assert np.array_equal(getattr(other, name), getattr(stats[0], name)), name
 
 
-def _block_cells(n, nz):
-    # per site and realization: nz states, the kernel's stored chunk of
-    # max(nz, 16) vectors, and 8; one realization's worth more per block
-    return (_disorder_block(n, nz) + 1) * (nz + max(nz, 16) + 8) * n
+def _block_cells(n, cols):
+    # per site and realization: cols states, the kernel's stored chunk of
+    # max(cols, 16) vectors, and 8; one realization's worth more per block
+    return (ensembles._block(n, cols) + 1) * (cols + max(cols, 16) + 8) * n
 
 
 def test_disorder_block_shrinks_on_large_lattices():
-    # 32 realizations where a block is small, fewer down to one where its
-    # complex cells would pass _BLOCK_CELLS
-    assert _disorder_block(10, 101) == 32
-    assert _disorder_block(99, 61) == 16
-    assert _disorder_block(4000, 101) == _disorder_block(100_000, 100) == 1
-    assert _disorder_block(10_000_000, 1) == 1
-    for n, nz in ((10, 101), (99, 61), (400, 11), (150, 201), (500, 1)):
-        assert _disorder_block(n, nz) > 1
-        assert _block_cells(n, nz) <= _BLOCK_CELLS
+    # 64 realizations where a block is small, fewer down to one where its
+    # complex cells would pass _BLOCK_CELLS; the widest call's columns count
+    block = ensembles._block
+    assert block(10, 101) == block(101, 2) == 64
+    assert block(99, 61) == 16
+    assert block(4000, 101) == block(100_000, 100) == block(20_000, 3) == 1
+    assert block(10_000_000, 1) == 1
+    for n, cols in ((10, 101), (99, 61), (400, 11), (150, 201), (500, 1), (101, 2)):
+        assert block(n, cols) > 1
+        assert _block_cells(n, cols) <= _BLOCK_CELLS
 
 
 def _traced_peak(run) -> int:
@@ -187,17 +191,30 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n,nz", [(99, 61), (400, 11), (150, 201)])
-def test_disorder_block_stays_within_its_cells(n, nz):
-    # one block at the size _disorder_block picks, the ensemble's enclosure
-    # and coefficient table set up beforehand
+@pytest.mark.parametrize("n,cols", [(99, 61), (400, 11), (150, 201), (20_000, 3)],
+                         ids=["99-61", "400-11", "150-201", "dephasing-20000-3"])
+def test_disorder_block_stays_within_its_cells(n, cols):
+    # a block at the size _block picks for the widest call's columns holds
+    # _BLOCK_CELLS, or one realization and its product where that passes them
     lat = uniform_lattice(n)
-    grid = ZGrid(np.linspace(0.0, 30.0, nz))
-    block_rows = _disorder_block_rows(lat, DisorderSpec(0.5, 1.0),
-                                      make_initial_state(SingleSite(n // 2), n), grid, POLICY)
-    size = _disorder_block(n, nz)
-    peak = _traced_peak(lambda: [None for _ in block_rows(0, size)])
-    assert peak <= 16 * _BLOCK_CELLS
+    if n == 20_000:
+        # an admitted dephasing run: 64 histories from a wide launch, in one
+        # segment that meets 3 grid rows; the whole run, which picks its blocks
+        def run():
+            evolve_dephasing(lat, DephasingSpec(1.0, 2.0), GaussianBeam(10_000.0, 4_000.0),
+                             ZGrid(np.linspace(0.0, 1.0, cols)), 64, 5)
+    else:
+        # one disorder block and its sums, the ensemble's enclosure and
+        # coefficient table set up beforehand
+        grid = ZGrid(np.linspace(0.0, 30.0, cols))
+        block_rows = _block_rows(*_disorder(lat, DisorderSpec(0.5, 1.0), grid, POLICY),
+                                 make_initial_state(SingleSite(n // 2), n))
+        size = ensembles._block(n, cols)
+
+        def run():
+            _reduce_ensemble(block_rows, size, grid, size, n)
+    peak = _traced_peak(run)
+    assert peak <= 16 * max(_BLOCK_CELLS, _block_cells(n, cols))
 
 
 def test_small_lattice_to_long_z_stays_within_the_column_update_peak():
@@ -211,9 +228,10 @@ def test_small_lattice_to_long_z_stays_within_the_column_update_peak():
     assert peak <= 7.3 * 2**20
 
 
-def test_dephasing_ensemble_sums_block_by_block():
-    # each block of _BLOCK histories is summed, then added to the running sum:
-    # at 130 histories (blocks of 64, 64, 2) that is not a left fold
+def test_dephasing_ensemble_is_a_left_fold():
+    # the histories are added to the running sum one after another, as a
+    # disorder ensemble's realizations are: at 130 histories (blocks of 64,
+    # 64, 2) a sum per block would differ in the last bits
     lat = uniform_lattice(21)
     h = build_hamiltonian(lat)
     psi0 = make_initial_state(SingleSite(10), 21)
@@ -222,15 +240,14 @@ def test_dephasing_ensemble_sums_block_by_block():
     n = 130
     inten = _block(h, psi0, grid, deph, 8, 0, n)
     by_block = np.zeros((2, 21))
-    for lo in range(0, n, _BLOCK):
-        for row in range(2):
-            by_block[row] += np.sum(inten[lo : lo + _BLOCK, row], axis=0)
+    for lo in range(0, n, 64):
+        by_block += np.sum(inten[lo : lo + 64], axis=0)
     left_fold = np.zeros((2, 21))
     for k in range(n):
         left_fold += inten[k]
     stats = evolve_dephasing(lat, deph, SingleSite(10), grid, n, 8)
-    assert np.array_equal(stats.mean_intensity, by_block / n)
-    assert not np.array_equal(stats.mean_intensity, left_fold / n)
+    assert np.array_equal(stats.mean_intensity, left_fold / n)
+    assert not np.array_equal(stats.mean_intensity, by_block / n)
 
 
 def test_ensemble_reproducible_across_worker_counts(monkeypatch):
@@ -325,11 +342,10 @@ def test_offdiag_disorder_with_a_huge_uniform_beta_is_a_phase():
 
 def _block(h, psi0, grid, deph, seed, k_lo, k_hi):
     """Intensities (history, z, site) of histories k_lo..k_hi-1, propagated as one block."""
-    segments = _plan_segments(grid.values, deph.segment_length)
-    block_rows = _dephasing_block_rows(h, psi0, deph, segments, SeedPolicy(seed))
+    block_rows = _block_rows(*_dephasing(h, deph, grid, SeedPolicy(seed)), psi0)
     out = np.full((k_hi - k_lo, len(grid), h.n_sites), np.nan)
-    for row, inten in block_rows(k_lo, k_hi):
-        out[:, row] = inten
+    for rows, inten in block_rows(k_lo, k_hi):
+        out[:, rows] = inten.swapaxes(0, 1)
     return out
 
 
