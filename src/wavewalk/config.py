@@ -19,7 +19,7 @@ from typing import Any
 
 import numpy as np
 
-from .ensembles import _block, _disorder_pad, _one_segment, _plan_segments, _segment_count
+from .ensembles import _block, _disorder_pad, _plan_segments, _segment_count
 from .lattice import (
     MAX_SITES,
     Boundary,
@@ -313,10 +313,10 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
     largest disc radius, at most twice the largest coupling, padded as the
     engine pads it. An ensemble charges each segment of its plan once per
     block of ``_block`` realizations, the first from the launch sites and
-    later ones on the whole lattice: a disorder realization is one segment
-    (``_one_segment``), a noise history one per noise segment
-    (``_plan_segments``). Each disorder realization adds the fixed cost of
-    its lattice and Hamiltonian."""
+    later ones on the whole lattice (``_plan_segments``): a disorder
+    realization is one segment as long as the grid, a noise history one per
+    noise segment. Each disorder realization adds the fixed cost of its
+    stream and draw."""
     lattice, zgrid = cfg["lattice"], cfg["zgrid"]
     n, periodic = lattice["n_sites"], lattice["boundary"] == "periodic"
     spread = (float(np.mean(lattice["coupling"])) if minus_degree
@@ -352,7 +352,8 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
         return charge([(lo, hi, hi - lo + 1, zvals[-1:]), (lo, lo, 1, zvals)])
     if experiment == "disorder":
         halfwidth += _disorder_pad(lattice["coupling"], minus_degree, **cfg["disorder"])
-        key, fixed, plan = "n_realizations", nr * _REALIZATION_WORK, _one_segment(zvals)
+        key, fixed = "n_realizations", nr * _REALIZATION_WORK
+        plan = _plan_segments(zvals, zvals[-1])
     elif experiment == "dephasing" and cfg["dephasing"]["phase_strength"] > 0.0:
         halfwidth += 0.5 * cfg["dephasing"]["phase_strength"]
         # lower bounds on the plan's work, so that a grid or segments too many

@@ -11,8 +11,8 @@ realizations propagates as (R, n) arrays through the segments of a plan, one
 light-cone Chebyshev call per segment, on an enclosure padded to hold every
 realization. A dephasing history draws fresh site noise for each noise
 segment; a disorder realization is a history of one segment, to the last
-grid point, with its couplings and betas drawn once. The no-noise dephasing
-control is one clean Chebyshev run.
+grid point, with its couplings and betas drawn once, stacked with the rest
+of its block. The no-noise dephasing control is one clean Chebyshev run.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .lattice import (
     LatticeSpec,
     WaveFunction,
     _check_near_one,
+    _tridiagonal,
     build_hamiltonian,
     make_initial_state,
 )
@@ -118,17 +119,26 @@ class EnsembleStats:
             raise ValueError("SEM must be nonnegative")
 
 
+def _draw(base: LatticeSpec, d: DisorderSpec, policy: SeedPolicy, ks):
+    """The couplings and betas of disorder realizations ``ks``, stacked on a
+    first axis. Each draws from its own stream in a frozen order (couplings,
+    then betas), so a realization is a pure function of (master_seed, k)."""
+    n_bonds = base.coupling.shape[0]
+    u = np.empty((len(ks), n_bonds + base.n_sites))
+    for row, k in zip(u, ks):
+        rng = policy.stream(k)
+        row[:n_bonds] = rng.uniform(-1.0, 1.0, size=n_bonds)
+        row[n_bonds:] = rng.uniform(-1.0, 1.0, size=base.n_sites)
+    return (base.coupling * (1.0 + d.offdiag_strength * u[:, :n_bonds]),
+            base.beta + 0.5 * d.diag_strength * u[:, n_bonds:])
+
+
 def sample_disordered_lattice(base: LatticeSpec, d: DisorderSpec, policy: SeedPolicy,
                               k: int) -> LatticeSpec:
-    """Disorder realization k. Draw order is frozen (couplings, then betas)
-    so a realization is a pure function of (master_seed, k)."""
+    """Disorder realization k: the one-realization case of ``_draw``."""
     if d.is_clean:
         return base
-    rng = policy.stream(k)
-    u_coupling = rng.uniform(-1.0, 1.0, size=base.coupling.shape[0])
-    u_beta = rng.uniform(-1.0, 1.0, size=base.n_sites)
-    coupling = base.coupling * (1.0 + d.offdiag_strength * u_coupling)
-    beta = base.beta + 0.5 * d.diag_strength * u_beta
+    (coupling,), (beta,) = _draw(base, d, policy, [k])
     return LatticeSpec(n_sites=base.n_sites, coupling=coupling, beta=beta, boundary=base.boundary,
                        diag_convention=base.diag_convention)
 
@@ -168,9 +178,9 @@ def _reduce_ensemble(block_rows, block: int, zgrid: ZGrid, n_realizations: int, 
 _MAX_BLOCK = 64  # most realizations per block; a memory constant only
 # most complex cells a block holds (3.7 MB). Per site and realization: the
 # widest call's states at each of its cols offsets, the chunk of vectors the
-# Chebyshev kernel stores at a time, and 8 for its initial rows, lattice,
-# Hamiltonian, stacked diagonal and couplings and recurrence temporaries;
-# and one realization's worth more for the kernel's per-state product
+# Chebyshev kernel stores at a time, and 8 for its initial rows, draws,
+# diagonal and couplings and recurrence temporaries; and one realization's
+# worth more for the kernel's per-state product
 _BLOCK_CELLS = 230_000
 
 
@@ -199,7 +209,8 @@ _MAX_SEGMENTS = 100_000
 def _segment_count(zmax: float, segment_length: float) -> int:
     """The number of noise segments of a history to ``zmax``, which must be
     a whole number of segments (relative 1e-9), and at most _MAX_SEGMENTS."""
-    ratio = zmax / segment_length
+    # one segment as long as the grid, also a disorder plan to z = 0
+    ratio = zmax / segment_length if zmax != segment_length else 1.0
     n = round(ratio) if np.isfinite(ratio) else 0
     if n < 1 or abs(n * segment_length - zmax) > 1e-9 * max(1.0, zmax):
         raise ValueError(f"zgrid.stop={zmax} is not a whole number of segments of "
@@ -237,12 +248,6 @@ def _plan_segments(zvals, segment_length: float) -> list:
     return segments
 
 
-def _one_segment(zvals) -> list:
-    """The plan of a disorder realization: one segment to ``zvals[-1]``
-    whose offsets are the grid, in the form of ``_plan_segments``."""
-    return [([(i, i) for i in range(len(zvals))], tuple(zvals.tolist()), len(zvals) - 1)]
-
-
 def _block_rows(plan: list, center: float, halfwidth: float, draws, psi0: WaveFunction):
     """The block function of an ensemble: ``block_rows(k_lo, k_hi)``
     propagates realizations k_lo..k_hi-1 together through the segments of
@@ -272,20 +277,19 @@ def _block_rows(plan: list, center: float, halfwidth: float, draws, psi0: WaveFu
 
 def _disorder(base: LatticeSpec, d: DisorderSpec, zgrid: ZGrid, policy: SeedPolicy):
     """A disorder ensemble as (plan, center, halfwidth, draws) for
-    ``_block_rows``: one segment to zgrid.stop whose offsets are the grid,
-    each realization's couplings and betas drawn once, on the clean
-    lattice's enclosure padded by ``_disorder_pad``."""
+    ``_block_rows``: one segment to zgrid.stop, whose offsets are the grid,
+    each block's couplings and betas drawn once and stacked (``_draw``), on
+    the clean lattice's enclosure padded by ``_disorder_pad``."""
     pad = _disorder_pad(base.coupling, base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA,
                         d.offdiag_strength, d.diag_strength)
-    center, halfwidth = _chebyshev_enclosure(build_hamiltonian(base), pad=pad)
+    h = build_hamiltonian(base)
+    center, halfwidth = _chebyshev_enclosure(h, pad=pad)
 
     def draws(k_lo: int, k_hi: int):
-        hs = [build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
-              for k in range(k_lo, k_hi)]
-        yield (np.array([h.diag for h in hs]), np.array([h.offdiag for h in hs]),
-               np.array([h.corner for h in hs]))
+        yield ((h.diag, h.offdiag, h.corner) if d.is_clean
+               else _tridiagonal(base, *_draw(base, d, policy, range(k_lo, k_hi))))
 
-    return _one_segment(zgrid.values), center, halfwidth, draws
+    return _plan_segments(zgrid.values, zgrid.values[-1]), center, halfwidth, draws
 
 
 def _dephasing(h0: Hamiltonian, deph: DephasingSpec, zgrid: ZGrid, policy: SeedPolicy):

@@ -5,10 +5,12 @@ Bessel sequence is Miller's recurrence at every x > 0, run over an array of
 x at once). The matvec and the Chebyshev recurrence act on the last axis, so
 a block of states (one per row, each with its own diagonal, couplings and
 ring corner, or sharing them) runs as one call and every row gives the bits
-of the 1-d call. One Chebyshev recurrence also serves several coefficient
-sets (one per propagation distance, as columns): it stores its vectors a
+of the 1-d call. The Chebyshev kernel has one calling form: a real (K, nz)
+coefficient table (one column per propagation distance), the terms each
+column takes, and an output array that it writes. A one-column table is
+streamed term by term; with more columns the recurrence stores its vectors a
 chunk at a time and forms every column of a state as one real product, so
-the columns agree with one call each to rounding.
+the columns agree with one-column calls to rounding.
 Callers look the kernels up through this module (``kernels.<name>``), so
 they can be swapped at runtime, for instance by a tracer.
 """
@@ -77,49 +79,42 @@ def _scaled_terms(shifted, off, corner, inv, psi, n_terms, store=None):
         yield u1
 
 
-def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, terms=None, out=None):
-    """sum_k coeffs[k] (-i)^k T_k(Hs) psi along the last axis of psi, for a
-    real coefficient table.
+def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, terms, out):
+    """Write sum_k coeffs[k, j] (-i)^k T_k(Hs) psi, along the last axis of
+    psi, into ``out[j]`` for each column j of the real (K, nz) table
+    ``coeffs``, from one recurrence.
 
-    ``coeffs`` of shape (K,) gives one sum, streamed term by term. Of shape
-    (K, nz) it gives one sum per column from one recurrence, stacked on a new
-    first axis (written into ``out`` if given). Column j takes only its
-    first ``terms[j]`` terms (the entries past them are never read);
-    ``terms`` must not decrease from column to column. A one-column table is
-    the streamed sum. With more columns the vectors (-i)^k T_k psi are stored
-    a chunk of ``store_terms(nz)`` terms at a time, and each state (leading
-    index of psi) forms every column at once as a real product of the table
-    with its stored vectors viewed as float64: one product of a fixed shape
-    per state and chunk, so a state's bits depend on its own H and psi and on
-    K, nz and the window only."""
+    Column j takes only its first ``terms[j]`` terms (the entries past them
+    are never read); ``terms`` must not decrease from column to column. A
+    one-column table is streamed term by term. With more columns the vectors
+    (-i)^k T_k psi are stored a chunk of ``store_terms(nz)`` terms at a time,
+    and each state (leading index of psi) forms every column at once as a
+    real product of the table with its stored vectors viewed as float64: one
+    product of a fixed shape per state and chunk, so a state's bits depend on
+    its own H and psi and on K, nz and the window only."""
+    n_cols = coeffs.shape[1]
+    terms = np.asarray(terms)
+    if (terms.shape != (n_cols,) or terms[0] < 1 or terms[-1] > coeffs.shape[0]
+            or np.any(np.diff(terms) < 0)):
+        raise ValueError("terms must give each column 1 to K terms, in ascending order")
     # H's entries as complex once, not cast again at every matvec (same bits)
     shifted, off = (diag - center).astype(np.complex128), off.astype(np.complex128)
     if isinstance(corner, np.ndarray):
         corner = corner.astype(np.complex128)
-    if coeffs.ndim == 1:
-        a, acc = coeffs, None
-    else:
-        n_cols = coeffs.shape[1]
-        terms = np.asarray(terms)
-        if (terms.shape != (n_cols,) or terms[0] < 1 or terms[-1] > coeffs.shape[0]
-                or np.any(np.diff(terms) < 0)):
-            raise ValueError("terms must give each column 1 to K terms, in ascending order")
-        a = coeffs[: terms[0], 0]
-        acc = np.empty((n_cols,) + psi.shape, dtype=np.complex128) if out is None else out
     args = (shifted, off, corner, 1.0 / halfwidth, psi)
-    if coeffs.ndim == 1 or n_cols == 1:  # no product to share: the streamed sum
-        total = None if acc is None else acc[0]
+    if n_cols == 1:  # no product to share: the streamed sum
+        a, total = coeffs[: terms[0], 0], out[0]
         for k, u in enumerate(_scaled_terms(*args, a.shape[0])):
             if k:
                 total += a[k] * u
             else:
-                total = np.multiply(a[0], u, out=total)
-        return total if acc is None else acc
+                np.multiply(a[0], u, out=total)
+        return
     n_terms = int(terms[-1])
     n_slots = min(n_terms, store_terms(n_cols))
     store = np.empty((n_slots,) + psi.shape, dtype=np.complex128)
     # one (chunk, 2W) matrix per state: its stored vectors as float64
-    mats, cols = store.view(np.float64), acc.view(np.float64)
+    mats, cols = store.view(np.float64), out.view(np.float64)
     for k, _ in enumerate(_scaled_terms(*args, n_terms, store)):
         if (k + 1) % n_slots and k + 1 < n_terms:
             continue  # the chunk is not full yet
@@ -131,7 +126,6 @@ def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, terms=Non
             continue
         for state in np.ndindex(psi.shape[:-1]):  # a later chunk adds its products
             cols[(slice(None),) + state] += table @ mat[(slice(None),) + state]
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -144,20 +144,26 @@ class Hamiltonian:
         return h
 
 
-def build_hamiltonian(spec: LatticeSpec) -> Hamiltonian:
-    """H realizing the coupled-mode equation for this lattice."""
+def _tridiagonal(spec: LatticeSpec, coupling: np.ndarray, beta: np.ndarray):
+    """H's diagonal, couplings and ring corner (0.0 if open) for the lattice
+    ``spec`` with ``coupling`` and ``beta`` in place of its own, along their
+    last axis: one lattice, or a stack of them."""
     n = spec.n_sites
     if spec.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA:
-        gamma_bar = spec.mean_coupling
         degree = np.full(n, 2.0)
         if spec.boundary is Boundary.OPEN:
             degree[0] = degree[-1] = 1.0
-        diag = -degree * gamma_bar
+        diag = -degree * np.mean(coupling, axis=-1, keepdims=True)
     else:
-        diag = spec.beta.copy()
-    offdiag = spec.coupling[: n - 1].copy()
-    corner = float(spec.coupling[n - 1]) if spec.boundary is Boundary.PERIODIC else 0.0
-    return Hamiltonian(diag=diag, offdiag=offdiag, corner=corner)
+        diag = beta
+    corner = coupling[..., n - 1] if spec.boundary is Boundary.PERIODIC else 0.0
+    return diag, coupling[..., : n - 1], corner
+
+
+def build_hamiltonian(spec: LatticeSpec) -> Hamiltonian:
+    """H realizing the coupled-mode equation for this lattice."""
+    diag, offdiag, corner = _tridiagonal(spec, spec.coupling, spec.beta)
+    return Hamiltonian(diag=diag, offdiag=offdiag, corner=float(corner))
 
 
 @dataclass(frozen=True)

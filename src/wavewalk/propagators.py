@@ -25,7 +25,7 @@ from .lattice import Hamiltonian, WaveFunction, _check_near_one
 
 @dataclass(frozen=True)
 class ZGrid:
-    """Strictly increasing, nonnegative propagation distances."""
+    """Strictly increasing, nonnegative, finite propagation distances."""
 
     values: np.ndarray
 
@@ -33,6 +33,8 @@ class ZGrid:
         v = np.ascontiguousarray(self.values, dtype=np.float64)
         if v.ndim != 1 or v.size == 0:
             raise ValueError("zgrid must be a nonempty 1-d array")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("z values must be finite")
         if v[0] < 0.0:
             raise ValueError("z values must be nonnegative")
         if v.size > 1 and not np.all(np.diff(v) > 0.0):
@@ -168,14 +170,6 @@ def _order_cap(x: float) -> int:
     return int(x + 12.0 * (x + 1.0) ** (1.0 / 3.0)) + 64
 
 
-def _chebyshev_coefficients(x: float, tol: float) -> np.ndarray:
-    """Real coefficients a_k = (2 - delta_{k0}) J_k(x) of exp(-ix Hs) =
-    sum_k a_k (-i)^k T_k(Hs), truncated when the Bessel tail stays below tol
-    for three consecutive orders: one column of ``_chebyshev_table``."""
-    table, terms = _chebyshev_table(np.array([x]), tol)
-    return table[: terms[0], 0]
-
-
 def _chebyshev_table(xs, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients at each argument of ``xs`` as one column of a real
     (K, len(xs)) table, zero past the column's own order, and those orders;
@@ -230,8 +224,8 @@ _CELL_SITES = 4
 # a coefficient: one order of one z in the table's Bessel recurrence (about
 # 2 us per order for one z, 0.2 us per z at 100 z)
 _COEFF_SITES = 150
-# a disorder realization's fixed cost: its stream, sampling, Hamiltonian and
-# reduction calls (about 100 us, 2-site runs of 5 000 to 20 000 realizations)
+# a disorder realization's fixed cost: its stream, draw and share of its
+# block's calls (about 100 us, 2-site runs of 5 000 to 20 000 realizations)
 _REALIZATION_WORK = 10_000
 
 
@@ -270,7 +264,7 @@ def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table, 
     out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)
     kernels.chebyshev_apply(
         diag[..., lo:hi], off[..., lo : hi - 1], corner if wraps else 0.0, center, halfwidth,
-        table, rows[..., lo:hi], terms=terms, out=out[..., lo:hi],
+        table, rows[..., lo:hi], terms, out[..., lo:hi],
     )
     for amps, z, k in zip(out, zvals, terms):
         # outside this z's own window lies exactly 0 up to its sign; inside it

@@ -8,6 +8,7 @@ nothing under ``bench/``.
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -41,3 +42,13 @@ def test_every_name_the_benchmark_needs_resolves():
     missing = [f"wavewalk.{mod}.{attr}" for mod, attr in sorted(needed)
                if not callable(getattr(importlib.import_module(f"wavewalk.{mod}"), attr, None))]
     assert not missing, f"names the benchmark looks up are gone: {missing}"
+
+
+def test_tracer_reads_the_kernel_table_and_states_by_position():
+    # bench/tracing.py takes a Chebyshev span's terms from args[5] (the
+    # table) and its sites from args[6] (the states)
+    src = (BENCH / "tracing.py").read_text(encoding="utf-8")
+    assert "args[5].shape[0]" in src and "args[6].shape[0]" in src
+    kernels = importlib.import_module("wavewalk.kernels")
+    params = list(inspect.signature(kernels.chebyshev_apply).parameters)
+    assert params[5:7] == ["coeffs", "psi"]

@@ -34,6 +34,7 @@ from wavewalk.ensembles import (
     _block_rows,
     _dephasing,
     _disorder,
+    _plan_segments,
     _reduce_ensemble,
 )
 
@@ -81,6 +82,46 @@ def test_diag_disorder_range():
     betas = sample_disordered_lattice(BASE, d, POLICY, 5).beta
     assert np.all(np.abs(betas) <= 1.0)
     assert np.any(betas != 0.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+@pytest.mark.parametrize("convention", list(DiagConvention), ids=lambda c: c.value)
+def test_block_draw_matches_the_per_realization_build(boundary, convention):
+    # a block's couplings and betas come stacked from one draw; row by row its
+    # H has the bits of each realization's own lattice and Hamiltonian
+    n = 23
+    r = np.random.default_rng(4)
+    n_bonds = n if boundary is Boundary.PERIODIC else n - 1
+    base = LatticeSpec(n, r.uniform(0.6, 1.4, size=n_bonds), r.uniform(-1.0, 1.0, size=n),
+                       boundary, convention)
+    reads_betas = convention is DiagConvention.BETA_AS_GIVEN
+    d = DisorderSpec(0.5, 1.5 if reads_betas else 0.0)
+    policy = SeedPolicy(17)
+    [(diag, off, corner)] = _disorder(base, d, ZGrid(np.array([1.0])), policy)[3](3, 11)
+    assert diag.shape == (8, n) and off.shape == (8, n - 1)
+    for i, k in enumerate(range(3, 11)):
+        h = build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
+        assert _bits(diag[i]) == _bits(h.diag), k
+        assert _bits(off[i]) == _bits(h.offdiag), k
+        assert _bits(np.broadcast_to(corner, 8)[i]) == _bits(h.corner), k
+
+
+@pytest.mark.parametrize("zvals", [np.linspace(0.0, 6.0, 7), np.array([0.4, 1.1, 2.0, 7.5]),
+                                   np.array([2.5]), np.array([0.0])],
+                         ids=["from_0", "from_above_0", "one_step", "one_step_at_0"])
+def test_disorder_plan_is_one_segment_whose_offsets_are_the_grid(zvals):
+    # one segment to the last grid point; row i is met at column i, the end
+    # is the last column
+    plan = _plan_segments(zvals, zvals[-1])
+    [(met, offsets, end)] = plan
+    assert offsets == tuple(zvals.tolist())
+    assert met == [(i, i) for i in range(zvals.size)]
+    assert end == zvals.size - 1
+    assert _disorder(BASE, DisorderSpec(0.3, 0.0), ZGrid(zvals), POLICY)[0] == plan
 
 
 def test_single_clean_realization_equals_direct_evolution():

@@ -119,6 +119,13 @@ def test_matvec_against_dense(corner):
     assert np.max(np.abs(got - expected)) < 1e-13
 
 
+def _apply(diag, off, corner, coeffs, x, terms):
+    """chebyshev_apply about centre 0.3 with half-width 5, into a fresh array."""
+    out = np.empty((len(terms),) + x.shape, dtype=np.complex128)
+    kernels.chebyshev_apply(diag, off, corner, 0.3, 5.0, coeffs, x, terms, out)
+    return out
+
+
 @pytest.mark.parametrize("corner", [0.0, 0.7])
 def test_numpy_kernels_act_row_by_row_on_a_block(corner):
     # a block of states with one diagonal row each equals the 1-d calls, bit for bit
@@ -129,11 +136,11 @@ def test_numpy_kernels_act_row_by_row_on_a_block(corner):
     x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
     coeffs = r.normal(size=12) + 1j * r.normal(size=12)
     y = kernels.tridiag_matvec(diag, off, corner, x)
-    acc = kernels.chebyshev_apply(diag, off, corner, 0.3, 5.0, coeffs, x)
+    acc = _apply(diag, off, corner, coeffs[:, None], x, [12])[0]
     for i in range(rows):
         assert np.array_equal(y[i], kernels.tridiag_matvec(diag[i], off, corner, x[i]))
         assert np.array_equal(
-            acc[i], kernels.chebyshev_apply(diag[i], off, corner, 0.3, 5.0, coeffs, x[i])
+            acc[i], _apply(diag[i], off, corner, coeffs[:, None], x[i], [12])[0]
         )
 
 
@@ -148,11 +155,11 @@ def test_numpy_kernels_take_couplings_and_corners_row_by_row():
     x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
     coeffs = r.normal(size=12) + 1j * r.normal(size=12)
     y = kernels.tridiag_matvec(diag, off, corner, x)
-    acc = kernels.chebyshev_apply(diag, off, corner, 0.3, 5.0, coeffs, x)
+    acc = _apply(diag, off, corner, coeffs[:, None], x, [12])[0]
     for i in range(rows):
         assert np.array_equal(y[i], kernels.tridiag_matvec(diag[i], off[i], corner[i], x[i]))
         assert np.array_equal(
-            acc[i], kernels.chebyshev_apply(diag[i], off[i], corner[i], 0.3, 5.0, coeffs, x[i])
+            acc[i], _apply(diag[i], off[i], corner[i], coeffs[:, None], x[i], [12])[0]
         )
 
 
@@ -177,13 +184,11 @@ def test_a_state_has_the_same_bits_alone_as_inside_a_block(corner, shape):
     x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
     terms = np.array(terms)
     coeffs = r.normal(size=(terms[-1], terms.size)) / terms[-1]
-    block = kernels.chebyshev_apply(diag, off, corners, 0.3, 5.0, coeffs, x, terms=terms)
+    block = _apply(diag, off, corners, coeffs, x, terms)
     for i in range(rows):
-        alone = kernels.chebyshev_apply(diag[i], off[i], corner, 0.3, 5.0, coeffs, x[i],
-                                        terms=terms)
+        alone = _apply(diag[i], off[i], corner, coeffs, x[i], terms)
         assert np.array_equal(block[:, i].view(np.uint64), alone.view(np.uint64)), i
-        one = kernels.chebyshev_apply(diag[i:i + 1], off[i:i + 1], corners[i:i + 1], 0.3, 5.0,
-                                      coeffs, x[i:i + 1], terms=terms)
+        one = _apply(diag[i:i + 1], off[i:i + 1], corners[i:i + 1], coeffs, x[i:i + 1], terms)
         assert np.array_equal(block[:, i:i + 1].view(np.uint64), one.view(np.uint64)), i
 
 

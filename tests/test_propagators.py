@@ -27,7 +27,6 @@ from wavewalk import (
 )
 from wavewalk import kernels
 from wavewalk.propagators import (
-    _chebyshev_coefficients,
     _chebyshev_enclosure,
     _chebyshev_table,
     chebyshev_rows,
@@ -265,7 +264,7 @@ def test_chebyshev_order_ceiling_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(kernels, "bessel_j_sequence", no_bessel)
     for x in (np.inf, np.nan, 1e7, 2.5e299):
         with pytest.raises(ChebyshevConvergenceError):
-            _chebyshev_coefficients(x, 1e-12)
+            _chebyshev_table(np.array([x]), 1e-12)
 
 
 _WINDOW_N = 201
@@ -298,11 +297,12 @@ def _full_lattice_chebyshev(h, psi0, zgrid, tol):
         if z == 0.0:
             states[i] = psi0.amps
             continue
-        coeffs = _chebyshev_coefficients(halfwidth * z, tol)
-        acc = kernels.chebyshev_apply(
-            h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps
+        coeffs, terms = _chebyshev_table(np.array([halfwidth * z]), tol)
+        acc = np.empty((1, h.n_sites), dtype=np.complex128)
+        kernels.chebyshev_apply(
+            h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps, terms, acc
         )
-        states[i] = np.exp(-1j * center * z) * acc
+        states[i] = np.exp(-1j * center * z) * acc[0]
     return np.abs(states) ** 2
 
 
@@ -352,14 +352,15 @@ def test_one_recurrence_equals_one_call_per_column(launch, boundary):
     for j, k in enumerate(terms):
         coeffs[k:, j] = np.nan  # past the column's order: never to be read
     args = (diag, h.offdiag, h.corner, center, halfwidth)
-    got = kernels.chebyshev_apply(*args, coeffs, psi, terms=terms)
-    assert got.shape == (terms.size,) + psi.shape
+    got = np.empty((terms.size,) + psi.shape, dtype=np.complex128)
+    kernels.chebyshev_apply(*args, coeffs, psi, terms, got)
+    one = np.empty((1,) + psi.shape, dtype=np.complex128)
     for j, k in enumerate(terms):
-        one = kernels.chebyshev_apply(*args, coeffs[:k, j], psi)
-        assert np.max(np.abs(got[j] - one)) <= 1e-15, j
-        assert np.array_equal(got[j] == 0.0, one == 0.0), j
+        kernels.chebyshev_apply(*args, coeffs[:k, j : j + 1], psi, [k], one)
+        assert np.max(np.abs(got[j] - one[0])) <= 1e-15, j
+        assert np.array_equal(got[j] == 0.0, one[0] == 0.0), j
     with pytest.raises(ValueError, match="ascending"):
-        kernels.chebyshev_apply(*args, coeffs, psi, terms=terms[::-1])
+        kernels.chebyshev_apply(*args, coeffs, psi, terms[::-1], got)
 
 
 def test_chebyshev_rows_runs_one_recurrence_for_every_z(monkeypatch):
@@ -526,3 +527,6 @@ def test_zgrid_validation():
         ZGrid(np.array([2.0, 1.0]))
     with pytest.raises(ValueError):
         ZGrid(np.array([]))
+    for bad in ([np.nan], [np.inf], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            ZGrid(np.array(bad))
