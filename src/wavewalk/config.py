@@ -510,6 +510,7 @@ def validate_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to parse
+    # not JSON, not UTF-8, nested too deep, or an integer too long to parse
+    except (RecursionError, ValueError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return load_config(raw)

@@ -263,7 +263,7 @@ def _block_rows(plan: list, center: float, halfwidth: float, draws, psi0: WaveFu
     def block_rows(k_lo: int, k_hi: int):
         psi = np.tile(psi0.amps, (k_hi - k_lo, 1))
         for (met, offsets, end), (diag, off, corner) in zip(plan, draws(k_lo, k_hi)):
-            amps = _light_cone_rows(diag, off, corner, center, halfwidth, *tables[offsets],
+            amps = _light_cone_rows(diag, off, corner, center, halfwidth, tables[offsets],
                                     psi, offsets)
             rows, cols = [row for row, _ in met], [j for _, j in met]
             inten = np.abs(amps if len(cols) == len(offsets) else amps[cols])

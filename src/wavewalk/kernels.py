@@ -6,11 +6,11 @@ x at once). The matvec and the Chebyshev recurrence act on the last axis, so
 a block of states (one per row, each with its own diagonal, couplings and
 ring corner, or sharing them) runs as one call and every row gives the bits
 of the 1-d call. The Chebyshev kernel has one calling form: a real (K, nz)
-coefficient table (one column per propagation distance), the terms each
-column takes, and an output array that it writes. A one-column table is
-streamed term by term; with more columns the recurrence stores its vectors a
-chunk at a time and forms every column of a state as one real product, so
-the columns agree with one-column calls to rounding.
+coefficient table (one column per propagation distance; its K rows are the
+order of the expansion) and an output array that it writes. A one-column
+table is streamed term by term; with more columns the recurrence stores its
+vectors a chunk at a time and adds every column of a state as one real
+product per chunk, so the columns agree with one-column calls to rounding.
 Callers look the kernels up through this module (``kernels.<name>``), so
 they can be swapped at runtime, for instance by a tracer.
 """
@@ -79,52 +79,44 @@ def _scaled_terms(shifted, off, corner, inv, psi, n_terms, store=None):
         yield u1
 
 
-def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, terms, out):
+def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, out):
     """Write sum_k coeffs[k, j] (-i)^k T_k(Hs) psi, along the last axis of
     psi, into ``out[j]`` for each column j of the real (K, nz) table
-    ``coeffs``, from one recurrence.
+    ``coeffs``, from one recurrence of K terms.
 
-    Column j takes only its first ``terms[j]`` terms (the entries past them
-    are never read); ``terms`` must not decrease from column to column. A
-    one-column table is streamed term by term. With more columns the vectors
-    (-i)^k T_k psi are stored a chunk of ``store_terms(nz)`` terms at a time,
-    and each state (leading index of psi) forms every column at once as a
-    real product of the table with its stored vectors viewed as float64: one
-    product of a fixed shape per state and chunk, so a state's bits depend on
-    its own H and psi and on K, nz and the window only."""
-    n_cols = coeffs.shape[1]
-    terms = np.asarray(terms)
-    if (terms.shape != (n_cols,) or terms[0] < 1 or terms[-1] > coeffs.shape[0]
-            or np.any(np.diff(terms) < 0)):
-        raise ValueError("terms must give each column 1 to K terms, in ascending order")
+    A column that ends early is zero past its own order; those zeros add
+    only zeros. A one-column table is streamed term by term. With more
+    columns the vectors (-i)^k T_k psi are stored a chunk of
+    ``store_terms(nz)`` terms at a time, and each state (leading index of
+    psi) adds every column at once as a real product of the chunk's rows of
+    the table with its stored vectors viewed as float64: one product of a
+    fixed shape per state and chunk, so a state's bits depend on its own H
+    and psi and on K, nz and the window only."""
+    n_terms, n_cols = coeffs.shape
     # H's entries as complex once, not cast again at every matvec (same bits)
     shifted, off = (diag - center).astype(np.complex128), off.astype(np.complex128)
     if isinstance(corner, np.ndarray):
         corner = corner.astype(np.complex128)
     args = (shifted, off, corner, 1.0 / halfwidth, psi)
     if n_cols == 1:  # no product to share: the streamed sum
-        a, total = coeffs[: terms[0], 0], out[0]
-        for k, u in enumerate(_scaled_terms(*args, a.shape[0])):
+        a, total = coeffs[:, 0], out[0]
+        for k, u in enumerate(_scaled_terms(*args, n_terms)):
             if k:
                 total += a[k] * u
             else:
                 np.multiply(a[0], u, out=total)
         return
-    n_terms = int(terms[-1])
     n_slots = min(n_terms, store_terms(n_cols))
     store = np.empty((n_slots,) + psi.shape, dtype=np.complex128)
     # one (chunk, 2W) matrix per state: its stored vectors as float64
     mats, cols = store.view(np.float64), out.view(np.float64)
+    cols[...] = 0.0
     for k, _ in enumerate(_scaled_terms(*args, n_terms, store)):
         if (k + 1) % n_slots and k + 1 < n_terms:
             continue  # the chunk is not full yet
         lo = k - k % n_slots  # the chunk holds terms lo..k
-        table = np.where(np.arange(lo, k + 1) < terms[:, None], coeffs[lo : k + 1].T, 0.0)
-        mat = mats[: k + 1 - lo]
-        if lo == 0:  # straight into the output, one product per state
-            np.matmul(table, np.moveaxis(mat, 0, -2), out=np.moveaxis(cols, 0, -2))
-            continue
-        for state in np.ndindex(psi.shape[:-1]):  # a later chunk adds its products
+        table, mat = np.ascontiguousarray(coeffs[lo : k + 1].T), mats[: k + 1 - lo]
+        for state in np.ndindex(psi.shape[:-1]):
             cols[(slice(None),) + state] += table @ mat[(slice(None),) + state]
 
 

@@ -170,10 +170,11 @@ def _order_cap(x: float) -> int:
     return int(x + 12.0 * (x + 1.0) ** (1.0 / 3.0)) + 64
 
 
-def _chebyshev_table(xs, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _chebyshev_table(xs, tol: float) -> np.ndarray:
     """The coefficients at each argument of ``xs`` as one column of a real
-    (K, len(xs)) table, zero past the column's own order, and those orders;
-    the Bessel sequences of every x come from one ``bessel_j_sequence`` call.
+    (K, len(xs)) table, zero past the column's own order; K, the largest
+    order, is the length of the recurrence that applies it. The Bessel
+    sequences of every x come from one ``bessel_j_sequence`` call.
     ``chebyshev_apply`` applies the (-i)^k itself."""
     xs = np.asarray(xs, dtype=np.float64)
     for x in xs:
@@ -195,11 +196,11 @@ def _chebyshev_table(xs, tol: float) -> tuple[np.ndarray, np.ndarray]:
         raise ChebyshevConvergenceError(
             f"no truncation order below cap {caps[j]} for x={xs[j]:g}, tol={tol:g}"
         )
-    terms = np.argmax(runs, axis=0) + 1
-    table = 2.0 * bess[: terms.max()]
+    orders = np.argmax(runs, axis=0) + 1
+    table = 2.0 * bess[: orders.max()]
     table[0] *= 0.5
-    table[np.arange(table.shape[0])[:, None] >= terms] = 0.0
-    return table, terms
+    table[np.arange(table.shape[0])[:, None] >= orders] = 0.0
+    return table
 
 
 def _light_cone_window(n: int, periodic: bool, a: int, b: int, k: int):
@@ -247,44 +248,41 @@ def _chebyshev_work(n: int, periodic: bool, a: int, b: int, rows: int, halfwidth
     return calls * call + k_max * nz * _COEFF_SITES
 
 
-def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table, terms,
+def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table,
                      rows: np.ndarray, zvals) -> np.ndarray:
     """exp(-iHz) ``rows`` (a state of n sites, or a block) at each z of
     ``zvals``, stacked on a new first axis; H's ``diag``, couplings ``off`` and
     ring ``corner`` are each shared or one per state. Column j of ``table``
-    holds the terms[j] coefficients at halfwidth*zvals[j]; ``terms`` must not
-    fall. One recurrence serves every z, on the light-cone window of the rows'
-    joint support at the largest order: sites outside a z's own light cone
-    stay exactly 0, and inside it the result is the whole lattice's to
-    rounding (a one-column call keeps its bits)."""
+    holds the coefficients at halfwidth*zvals[j]. One recurrence of K =
+    ``table.shape[0]`` terms serves every z, on the light-cone window of the
+    rows' joint support at order K - 1: sites outside a z's own light cone
+    hold 0 up to sign (the table's zeros past its order meet the recurrence's
+    exact zeros), and inside it the result is the whole lattice's to rounding
+    (a one-column call keeps its bits)."""
     n, periodic = rows.shape[-1], bool(np.any(corner != 0.0))
     support = np.flatnonzero(np.any(rows.reshape(-1, n) != 0.0, axis=0))
-    a, b = int(support[0]), int(support[-1])
-    lo, hi, wraps = _light_cone_window(n, periodic, a, b, terms[-1] - 1)
+    lo, hi, wraps = _light_cone_window(n, periodic, int(support[0]), int(support[-1]),
+                                       table.shape[0] - 1)
     out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)
+    window = out[..., lo:hi]
     kernels.chebyshev_apply(
         diag[..., lo:hi], off[..., lo : hi - 1], corner if wraps else 0.0, center, halfwidth,
-        table, rows[..., lo:hi], terms, out[..., lo:hi],
+        table, rows[..., lo:hi], window,
     )
-    for amps, z, k in zip(out, zvals, terms):
-        # outside this z's own window lies exactly 0 up to its sign; inside it
-        # the recurrence expanded exp(-i(H - center)z), so the centre returns as a phase
-        zlo, zhi, _ = _light_cone_window(n, periodic, a, b, k - 1)
-        amps[..., lo:zlo] = 0.0
-        amps[..., zhi:hi] = 0.0
-        inside = amps[..., zlo:zhi]
-        np.multiply(np.exp(-1j * center * z), inside, out=inside)
+    # the recurrence expanded exp(-i(H - center)z), so the centre returns as a
+    # phase; the phase goes first, as numpy's complex product is not symmetric in its bits
+    phases = np.exp(-1j * center * np.asarray(zvals, dtype=np.float64))
+    np.multiply(phases.reshape((-1,) + (1,) * rows.ndim), window, out=window)
     return out
 
 
 def chebyshev_rows(h: Hamiltonian, rows: np.ndarray, zvals,
                    tol: float = _CHEBYSHEV_TOL) -> np.ndarray:
-    """exp(-iHz) ``rows`` at each z of ``zvals`` (ascending, so the orders do
-    not fall), on the whole lattice's enclosure: one ``_light_cone_rows`` call."""
+    """exp(-iHz) ``rows`` at each z of ``zvals``, on the whole lattice's
+    enclosure: one ``_light_cone_rows`` call."""
     center, halfwidth = _chebyshev_enclosure(h)
-    table, terms = _chebyshev_table(halfwidth * np.asarray(zvals), tol)
-    return _light_cone_rows(h.diag, h.offdiag, h.corner, center, halfwidth, table, terms,
-                            rows, zvals)
+    table = _chebyshev_table(halfwidth * np.asarray(zvals), tol)
+    return _light_cone_rows(h.diag, h.offdiag, h.corner, center, halfwidth, table, rows, zvals)
 
 
 def evolve_chebyshev(

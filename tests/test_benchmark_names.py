@@ -12,6 +12,9 @@ import inspect
 import re
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -52,3 +55,25 @@ def test_tracer_reads_the_kernel_table_and_states_by_position():
     kernels = importlib.import_module("wavewalk.kernels")
     params = list(inspect.signature(kernels.chebyshev_apply).parameters)
     assert params[5:7] == ["coeffs", "psi"]
+
+
+@pytest.mark.parametrize("xs", [[3.0], [0.0, 0.5, 3.0, 12.0, 40.0]], ids=["one_column", "columns"])
+def test_a_kernel_call_makes_one_matvec_per_table_row_after_the_first(monkeypatch, xs):
+    # the tracer counts a Chebyshev span's matvecs as its table's rows - 1
+    # (args[5].shape[0] - 1), which is what one call performs
+    kernels = importlib.import_module("wavewalk.kernels")
+    propagators = importlib.import_module("wavewalk.propagators")
+    table = propagators._chebyshev_table(np.array(xs), 1e-12)
+    calls = []
+    matvec = kernels.tridiag_matvec
+
+    def counting(*args):
+        calls.append(1)
+        return matvec(*args)
+
+    monkeypatch.setattr(kernels, "tridiag_matvec", counting)
+    n = 60
+    psi = np.eye(2, n, k=30)
+    out = np.empty((table.shape[1],) + psi.shape, dtype=np.complex128)
+    kernels.chebyshev_apply(np.zeros(n), np.ones(n - 1), 0.0, 0.0, 2.0, table, psi, out)
+    assert table.shape[0] > 1 and len(calls) == table.shape[0] - 1

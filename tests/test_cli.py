@@ -389,7 +389,7 @@ def _run_sweep(tmp_path, name, n_sites, lo, hi, z, beta=0.0):
 
 def _light_cone_order(n_sites, z):
     _, halfwidth = _chebyshev_enclosure(build_hamiltonian(uniform_lattice(n_sites)))
-    return int(_chebyshev_table(np.array([halfwidth * z]), _CHEBYSHEV_TOL)[1][0]) - 1
+    return _chebyshev_table(np.array([halfwidth * z]), _CHEBYSHEV_TOL).shape[0] - 1
 
 
 # (n_sites, input_min, input_max, z): inputs on the wall; inputs farther than
@@ -412,10 +412,10 @@ def test_sweep_carpet_equals_whole_lattice_block(tmp_path, case):
     _, carpet = _read_csv(_run_sweep(tmp_path, case, n, lo, hi, z) / "carpet.csv")
     h = build_hamiltonian(uniform_lattice(n))
     center, halfwidth = _chebyshev_enclosure(h)
-    coeffs, terms = _chebyshev_table(np.array([halfwidth * z]), _CHEBYSHEV_TOL)
+    coeffs = _chebyshev_table(np.array([halfwidth * z]), _CHEBYSHEV_TOL)
     acc = np.empty((1, hi - lo + 1, n), dtype=np.complex128)
     kernels.chebyshev_apply(h.diag, h.offdiag, h.corner, center, halfwidth, coeffs,
-                            np.eye(hi - lo + 1, n, k=lo), terms, acc)
+                            np.eye(hi - lo + 1, n, k=lo), acc)
     amps = np.exp(-1j * center * z) * acc[0]
     assert np.array_equal(carpet[:, 1:], amps.real ** 2 + amps.imag ** 2)
     # and against the spectral reference, input by input
@@ -552,14 +552,14 @@ def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     done = []
     apply = kernels.chebyshev_apply
 
-    def counting(diag, off, corner, center, halfwidth, coeffs, psi, terms, out):
+    def counting(diag, off, corner, center, halfwidth, coeffs, psi, out):
         # the recurrence steps; then a one-column table's streamed sum, one
         # update of the window per term, or else every term of every column
         # for each state, at the weight the model gives the per-state products
-        k, n_cols = max(terms), len(terms)
+        k, n_cols = coeffs.shape
         sums = k * psi.size if n_cols == 1 else k * n_cols * psi.size // _PRODUCT_TERMS
         done.append((k - 1) * (psi.size + _STEP_SITES) + sums)
-        return apply(diag, off, corner, center, halfwidth, coeffs, psi, terms, out)
+        return apply(diag, off, corner, center, halfwidth, coeffs, psi, out)
 
     monkeypatch.setattr(kernels, "chebyshev_apply", counting)
     run_experiment(cfg, output_dir=str(tmp_path))

@@ -322,6 +322,16 @@ def test_validate_config_file_errors(tmp_path):
             validate_config(bad)
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_deeply_nested_config_is_a_config_error(tmp_path, capsys, command):
+    # nesting deeper than the parser's recursion limit is not valid JSON, and
+    # exits 2 with a message, not with a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([command, str(path)]) == 2
+    assert "is not valid JSON" in capsys.readouterr().err
+
+
 # how README's schema table names each kind of the config table
 KIND_NAMES = {"int": "integer", "float": "number", "str": "string", "floats": "number or list",
               "pair": "pair of integers", "strs": "list of strings"}

@@ -29,6 +29,7 @@ from wavewalk import kernels
 from wavewalk.propagators import (
     _chebyshev_enclosure,
     _chebyshev_table,
+    _light_cone_window,
     chebyshev_rows,
 )
 
@@ -297,10 +298,10 @@ def _full_lattice_chebyshev(h, psi0, zgrid, tol):
         if z == 0.0:
             states[i] = psi0.amps
             continue
-        coeffs, terms = _chebyshev_table(np.array([halfwidth * z]), tol)
+        coeffs = _chebyshev_table(np.array([halfwidth * z]), tol)
         acc = np.empty((1, h.n_sites), dtype=np.complex128)
         kernels.chebyshev_apply(
-            h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps, terms, acc
+            h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps, acc
         )
         states[i] = np.exp(-1j * center * z) * acc[0]
     return np.abs(states) ** 2
@@ -316,8 +317,17 @@ def test_chebyshev_light_cone_window_is_exact(launch, boundary, disordered):
     h = build_hamiltonian(_window_lattice(boundary, disordered))
     psi0 = make_initial_state(_WINDOW_LAUNCHES[launch], _WINDOW_N)
     zgrid = ZGrid(np.array([0.0, 0.5, 3.0, 12.0, 80.0]))
-    got = evolve_chebyshev(h, psi0, zgrid, tol=1e-12).intensities()
+    snaps = evolve_chebyshev(h, psi0, zgrid, tol=1e-12)
+    got = snaps.intensities()
     ref = _full_lattice_chebyshev(h, psi0, zgrid, 1e-12)
+    # each z's amplitudes are 0 (up to sign) outside its own light cone
+    _, halfwidth = _chebyshev_enclosure(h)
+    support = np.flatnonzero(psi0.amps)
+    for amps, z in zip(snaps.amps, zgrid.values):
+        order = _chebyshev_table(np.array([halfwidth * z]), 1e-12).shape[0]
+        lo, hi, _ = _light_cone_window(_WINDOW_N, h.is_periodic, int(support[0]),
+                                       int(support[-1]), order - 1)
+        assert np.all(amps[:lo] == 0.0) and np.all(amps[hi:] == 0.0), z
     # the windowed run forms its z columns as one product, the reference
     # streams each one: they agree to rounding, and vanish on the same sites
     assert np.max(np.abs(got - ref)) <= 1e-15
@@ -330,7 +340,7 @@ def test_chebyshev_light_cone_window_is_exact(launch, boundary, disordered):
 @pytest.mark.parametrize("launch", ["centre", "two_site", "gaussian", "block", "noisy_block"])
 def test_one_recurrence_equals_one_call_per_column(launch, boundary):
     # every column of a 2-d call, z = 0 among them, agrees to rounding with
-    # the 1-d call on its own terms (the 2-d call forms its columns as one
+    # the 1-d call on its own table (the 2-d call forms its columns as one
     # product, the 1-d call streams its sum); by z = 80 the expansion wraps
     # around the ring
     h = build_hamiltonian(_window_lattice(boundary, True))
@@ -347,20 +357,44 @@ def test_one_recurrence_equals_one_call_per_column(launch, boundary):
         psi = np.eye(5, _WINDOW_N, k=60)
     else:
         psi = make_initial_state(_WINDOW_LAUNCHES[launch], _WINDOW_N).amps
-    coeffs, terms = _chebyshev_table(halfwidth * np.array([0.0, 0.5, 3.0, 12.0, 80.0]), 1e-12)
-    assert terms[-1] > _WINDOW_N  # the light cone passes both ends
-    for j, k in enumerate(terms):
-        coeffs[k:, j] = np.nan  # past the column's order: never to be read
+    xs = halfwidth * np.array([0.0, 0.5, 3.0, 12.0, 80.0])
+    coeffs = _chebyshev_table(xs, 1e-12)
+    assert coeffs.shape[0] > _WINDOW_N  # the light cone passes both ends
     args = (diag, h.offdiag, h.corner, center, halfwidth)
-    got = np.empty((terms.size,) + psi.shape, dtype=np.complex128)
-    kernels.chebyshev_apply(*args, coeffs, psi, terms, got)
+    got = np.empty((xs.size,) + psi.shape, dtype=np.complex128)
+    kernels.chebyshev_apply(*args, coeffs, psi, got)
     one = np.empty((1,) + psi.shape, dtype=np.complex128)
-    for j, k in enumerate(terms):
-        kernels.chebyshev_apply(*args, coeffs[:k, j : j + 1], psi, [k], one)
+    for j, x in enumerate(xs):
+        kernels.chebyshev_apply(*args, _chebyshev_table(np.array([x]), 1e-12), psi, one)
         assert np.max(np.abs(got[j] - one[0])) <= 1e-15, j
         assert np.array_equal(got[j] == 0.0, one[0] == 0.0), j
-    with pytest.raises(ValueError, match="ascending"):
-        kernels.chebyshev_apply(*args, coeffs, psi, terms[::-1], got)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
+def test_zero_padding_of_a_table_is_inert(boundary):
+    # zeros past a column's order add only zeros (== counts -0 as 0): a
+    # column cut at its order and padded past it give the same values,
+    # streamed alone and among the columns of a stored call, with the padding
+    # running past a chunk of stored terms
+    h = build_hamiltonian(_window_lattice(boundary, True))
+    center, halfwidth = _chebyshev_enclosure(h)
+    args = (h.diag, h.offdiag, h.corner, center, halfwidth)
+    psi = np.eye(3, _WINDOW_N, k=90)
+    table = _chebyshev_table(halfwidth * np.array([0.5, 3.0, 12.0]), 1e-12)
+    column = _chebyshev_table(np.array([halfwidth * 3.0]), 1e-12)
+    assert column.shape[0] < table.shape[0]  # column 1 of the table is padded
+
+    def apply(coeffs):
+        out = np.empty((coeffs.shape[1],) + psi.shape, dtype=np.complex128)
+        kernels.chebyshev_apply(*args, coeffs, psi, out)
+        return out
+
+    def padded(coeffs):
+        return np.vstack([coeffs, np.zeros((20, coeffs.shape[1]))])
+
+    assert np.array_equal(apply(table[: column.shape[0], 1:2]), apply(column))
+    assert np.array_equal(apply(padded(column)), apply(column))
+    assert np.array_equal(apply(padded(table)), apply(table))
 
 
 def test_chebyshev_rows_runs_one_recurrence_for_every_z(monkeypatch):
@@ -376,8 +410,7 @@ def test_chebyshev_rows_runs_one_recurrence_for_every_z(monkeypatch):
 
     monkeypatch.setattr(kernels, "chebyshev_apply", counting)
     chebyshev_rows(h, make_initial_state(SingleSite(100), _WINDOW_N).amps, zvals)
-    _, terms = _chebyshev_table(halfwidth * zvals, 1e-12)
-    assert shapes == [(terms.max(), zvals.size)]
+    assert shapes == [_chebyshev_table(halfwidth * zvals, 1e-12).shape]
 
 
 def test_stored_vectors_of_a_long_launch_stay_small():
