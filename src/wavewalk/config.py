@@ -367,9 +367,9 @@ def _check_chebyshev_work(cfg: dict, zvals, minus_degree: bool) -> None:
         plan = _plan_segments(zvals, dz)
     else:  # one launch: a ballistic run or the no-noise dephasing control
         return charge([(a, b, 1, zvals)])
-    rows = min(nr, _block(n, max(len(offsets) for _, offsets, _ in plan)))
-    (_, first, _), *later = plan
-    charge([(a, b, rows, first)] + [(0, n - 1, rows, offsets) for _, offsets, _ in later],
+    rows = min(nr, _block(n, max(len(offsets) for _, offsets in plan)))
+    (_, first), *later = plan
+    charge([(a, b, rows, first)] + [(0, n - 1, rows, offsets) for _, offsets in later],
            -(-nr // rows))
 
 

@@ -9,8 +9,10 @@ statistics are bit-identical across runs and do not depend on the block size.
 Both ensembles run on one engine (``_block_rows``): a block of R
 realizations propagates as (R, n) arrays through the segments of a plan, one
 light-cone Chebyshev call per segment, on an enclosure padded to hold every
-realization. A dephasing history draws fresh site noise for each noise
-segment; a disorder realization is a history of one segment, to the last
+realization, each H shifted by the enclosure's centre so that a large
+uniform beta cannot round noise or disorder away (the phase exp(-i center z)
+this drops cancels in |psi|^2). A dephasing history draws fresh site noise
+for each noise segment; a disorder realization is a history of one segment, to the last
 grid point, with its couplings and betas drawn once, stacked with the rest
 of its block. The no-noise dephasing control is one clean Chebyshev run.
 """
@@ -119,18 +121,18 @@ class EnsembleStats:
             raise ValueError("SEM must be nonnegative")
 
 
-def _draw(base: LatticeSpec, d: DisorderSpec, policy: SeedPolicy, ks):
-    """The couplings and betas of disorder realizations ``ks``, stacked on a
-    first axis. Each draws from its own stream in a frozen order (couplings,
-    then betas), so a realization is a pure function of (master_seed, k)."""
-    n_bonds = base.coupling.shape[0]
-    u = np.empty((len(ks), n_bonds + base.n_sites))
+def _draw(coupling: np.ndarray, beta: np.ndarray, d: DisorderSpec, policy: SeedPolicy, ks):
+    """The couplings and betas of disorder realizations ``ks`` about ``coupling``
+    and ``beta``, stacked on a first axis. Each draws from its own stream in a
+    frozen order (couplings, then betas): a pure function of (master_seed, k)."""
+    n_bonds, n = coupling.shape[0], beta.shape[0]
+    u = np.empty((len(ks), n_bonds + n))
     for row, k in zip(u, ks):
         rng = policy.stream(k)
         row[:n_bonds] = rng.uniform(-1.0, 1.0, size=n_bonds)
-        row[n_bonds:] = rng.uniform(-1.0, 1.0, size=base.n_sites)
-    return (base.coupling * (1.0 + d.offdiag_strength * u[:, :n_bonds]),
-            base.beta + 0.5 * d.diag_strength * u[:, n_bonds:])
+        row[n_bonds:] = rng.uniform(-1.0, 1.0, size=n)
+    return (coupling * (1.0 + d.offdiag_strength * u[:, :n_bonds]),
+            beta + 0.5 * d.diag_strength * u[:, n_bonds:])
 
 
 def sample_disordered_lattice(base: LatticeSpec, d: DisorderSpec, policy: SeedPolicy,
@@ -138,7 +140,7 @@ def sample_disordered_lattice(base: LatticeSpec, d: DisorderSpec, policy: SeedPo
     """Disorder realization k: the one-realization case of ``_draw``."""
     if d.is_clean:
         return base
-    (coupling,), (beta,) = _draw(base, d, policy, [k])
+    (coupling,), (beta,) = _draw(base.coupling, base.beta, d, policy, [k])
     return LatticeSpec(n_sites=base.n_sites, coupling=coupling, beta=beta, boundary=base.boundary,
                        diag_convention=base.diag_convention)
 
@@ -222,87 +224,86 @@ def _segment_count(zmax: float, segment_length: float) -> int:
 
 
 def _plan_segments(zvals, segment_length: float) -> list:
-    """The noise segments of a history on the grid ``zvals``, each as (met,
-    offsets, end): ``offsets`` are the distinct offsets from the segment's
-    start of its end and of the grid rows it meets, ascending; ``met`` pairs
-    each such row with the index of its offset, and ``end`` is the end's.
+    """The noise segments of a history on the grid ``zvals``, each as (rows,
+    offsets): the grid rows it meets, and their offsets from the segment's
+    start, ascending, then its end's if no row is that end. A row within
+    1e-9*max(1, z_end) of a segment's end is that end, so row i of a segment
+    is its column i, and its end is its last column.
 
     A block of histories makes one light-cone call per segment, at its
     offsets. ``zvals[-1]`` must be a whole number of segments (relative
     1e-9), and at most _MAX_SEGMENTS (``_segment_count``)."""
     dz = segment_length
     n = _segment_count(float(zvals[-1]), dz)
-    gi = 0
-    segments = []
+    gi, segments = 0, []
     for s in range(n):
         z_start, z_end = s * dz, (s + 1) * dz
-        met = []
-        while gi < zvals.size and zvals[gi] <= z_end + 1e-9 * max(1.0, z_end):
-            met.append((gi, float(zvals[gi] - z_start)))
-            gi += 1
-        offsets = tuple(sorted({dz} | {dt for _, dt in met}))
-        column = {dt: j for j, dt in enumerate(offsets)}
-        segments.append(([(row, column[dt]) for row, dt in met], offsets, column[dz]))
+        tol = 1e-9 * max(1.0, z_end)
+        hi = int(np.searchsorted(zvals, z_end + tol, side="right"))
+        offsets = [dz if z >= z_end - tol else float(z - z_start) for z in zvals[gi:hi]]
+        if offsets[-1:] != [dz]:  # no row is the end
+            offsets.append(dz)
+        segments.append((list(range(gi, hi)), tuple(offsets)))
+        gi = hi
     if gi < zvals.size:
         raise ValueError("zgrid extends past the final noise segment")
     return segments
 
 
-def _block_rows(plan: list, center: float, halfwidth: float, draws, psi0: WaveFunction):
+def _block_rows(plan: list, halfwidth: float, draws, psi0: WaveFunction):
     """The block function of an ensemble: ``block_rows(k_lo, k_hi)``
     propagates realizations k_lo..k_hi-1 together through the segments of
     ``plan``, one light-cone call each, segment s on the s-th H that
     ``draws(k_lo, k_hi)`` yields (its diagonal, couplings and ring corner,
-    each shared or one per realization) expanded about ``center``. For each
-    segment it yields (the grid rows it meets, I of shape (rows, k_hi - k_lo,
-    n_sites)). One coefficient table per distinct tuple of a segment's
-    offsets is set up once, for every block."""
+    each shared or one per realization, already shifted by the enclosure's
+    centre). For each segment it yields (the grid rows it meets, I of shape
+    (rows, k_hi - k_lo, n_sites)). One coefficient table per distinct tuple
+    of a segment's offsets is set up once, for every block."""
     tables = {offsets: _chebyshev_table(halfwidth * np.array(offsets), _CHEBYSHEV_TOL)
-              for offsets in {offsets for _, offsets, _ in plan}}
+              for offsets in {offsets for _, offsets in plan}}
 
     def block_rows(k_lo: int, k_hi: int):
         psi = np.tile(psi0.amps, (k_hi - k_lo, 1))
-        for (met, offsets, end), (diag, off, corner) in zip(plan, draws(k_lo, k_hi)):
-            amps = _light_cone_rows(diag, off, corner, center, halfwidth, tables[offsets],
-                                    psi, offsets)
-            rows, cols = [row for row, _ in met], [j for _, j in met]
-            inten = np.abs(amps if len(cols) == len(offsets) else amps[cols])
+        for (rows, offsets), (diag, off, corner) in zip(plan, draws(k_lo, k_hi)):
+            amps = _light_cone_rows(diag, off, corner, 0.0, halfwidth, tables[offsets], psi,
+                                    offsets)
+            inten = np.abs(amps[: len(rows)])
             # the next segment starts from this one's end; the states go
             # before the block's sums take memory of their own
-            psi, amps = amps[end].copy(), None
+            psi, amps = amps[-1].copy(), None
             yield rows, np.square(inten, out=inten)
 
     return block_rows
 
 
 def _disorder(base: LatticeSpec, d: DisorderSpec, zgrid: ZGrid, policy: SeedPolicy):
-    """A disorder ensemble as (plan, center, halfwidth, draws) for
-    ``_block_rows``: one segment to zgrid.stop, whose offsets are the grid,
-    each block's couplings and betas drawn once and stacked (``_draw``), on
-    the clean lattice's enclosure padded by ``_disorder_pad``."""
-    pad = _disorder_pad(base.coupling, base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA,
-                        d.offdiag_strength, d.diag_strength)
-    h = build_hamiltonian(base)
-    center, halfwidth = _chebyshev_enclosure(h, pad=pad)
+    """A disorder ensemble as (plan, halfwidth, draws) for ``_block_rows``:
+    one segment to zgrid.stop, whose offsets are the grid, each block's
+    couplings and betas drawn once and stacked (``_draw``), on the clean
+    lattice's enclosure padded by ``_disorder_pad``. The centre is taken off
+    the clean betas before their noise is added, or off the drawn diagonal
+    under minus_degree_gamma, where it follows the couplings."""
+    minus_degree = base.diag_convention is DiagConvention.MINUS_DEGREE_GAMMA
+    pad = _disorder_pad(base.coupling, minus_degree, d.offdiag_strength, d.diag_strength)
+    center, halfwidth = _chebyshev_enclosure(build_hamiltonian(base), pad=pad)
+    clean = base.coupling, base.beta - center
 
     def draws(k_lo: int, k_hi: int):
-        yield ((h.diag, h.offdiag, h.corner) if d.is_clean
-               else _tridiagonal(base, *_draw(base, d, policy, range(k_lo, k_hi))))
+        drawn = clean if d.is_clean else _draw(*clean, d, policy, range(k_lo, k_hi))
+        diag, off, corner = _tridiagonal(base, *drawn)
+        yield (diag - center if minus_degree else diag), off, corner
 
-    return _plan_segments(zgrid.values, zgrid.values[-1]), center, halfwidth, draws
+    return _plan_segments(zgrid.values, zgrid.values[-1]), halfwidth, draws
 
 
 def _dephasing(h0: Hamiltonian, deph: DephasingSpec, zgrid: ZGrid, policy: SeedPolicy):
-    """A dephasing ensemble as (plan, center, halfwidth, draws) for
-    ``_block_rows``: the noise segments of ``_plan_segments``, each history
-    drawing fresh site noise for every segment, in order, from its own
-    stream, on the clean lattice's enclosure padded by the noise."""
+    """A dephasing ensemble as (plan, halfwidth, draws) for ``_block_rows``:
+    the noise segments of ``_plan_segments``, each history drawing fresh
+    site noise for every segment, in order, from its own stream, on the
+    clean lattice's enclosure padded by the noise."""
     n = h0.n_sites
     half = 0.5 * deph.phase_strength
     center, halfwidth = _chebyshev_enclosure(h0, pad=half)
-    # histories run in the frame shifted by -center, so a large uniform beta
-    # does not round the noise away; the phase exp(-i center z) that this drops
-    # is the same on every site and cancels in |psi|^2
     shifted = h0.diag - center
 
     def draws(k_lo: int, k_hi: int):
@@ -311,14 +312,14 @@ def _dephasing(h0: Hamiltonian, deph: DephasingSpec, zgrid: ZGrid, policy: SeedP
             yield (shifted + np.array([rng.uniform(-half, half, size=n) for rng in rngs]),
                    h0.offdiag, h0.corner)
 
-    return _plan_segments(zgrid.values, deph.segment_length), 0.0, halfwidth, draws
+    return _plan_segments(zgrid.values, deph.segment_length), halfwidth, draws
 
 
 def _ensemble_stats(ensemble: tuple, psi0: WaveFunction, zgrid: ZGrid, n_realizations: int):
     """Statistics of ``n_realizations`` of an ensemble from ``_disorder`` or
     ``_dephasing``, propagated in blocks of ``_block`` realizations."""
     n, plan = psi0.n_sites, ensemble[0]
-    block = _block(n, max(len(offsets) for _, offsets, _ in plan))
+    block = _block(n, max(len(offsets) for _, offsets in plan))
     return _reduce_ensemble(_block_rows(*ensemble, psi0), block, zgrid, n_realizations, n)
 
 

@@ -7,7 +7,7 @@ a block of states (one per row, each with its own diagonal, couplings and
 ring corner, or sharing them) runs as one call and every row gives the bits
 of the 1-d call. The Chebyshev kernel has one calling form: a real (K, nz)
 coefficient table (one column per propagation distance; its K rows are the
-order of the expansion) and an output array that it writes. A one-column
+order of the expansion) and an output array that it adds into. A one-column
 table is streamed term by term; with more columns the recurrence stores its
 vectors a chunk at a time and adds every column of a state as one real
 product per chunk, so the columns agree with one-column calls to rounding.
@@ -80,9 +80,10 @@ def _scaled_terms(shifted, off, corner, inv, psi, n_terms, store=None):
 
 
 def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, out):
-    """Write sum_k coeffs[k, j] (-i)^k T_k(Hs) psi, along the last axis of
+    """Add sum_k coeffs[k, j] (-i)^k T_k(Hs) psi, along the last axis of
     psi, into ``out[j]`` for each column j of the real (K, nz) table
-    ``coeffs``, from one recurrence of K terms.
+    ``coeffs``, from one recurrence of K terms; a caller that wants the sum
+    alone passes zeros.
 
     A column that ends early is zero past its own order; those zeros add
     only zeros. A one-column table is streamed term by term. With more
@@ -101,16 +102,12 @@ def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, out):
     if n_cols == 1:  # no product to share: the streamed sum
         a, total = coeffs[:, 0], out[0]
         for k, u in enumerate(_scaled_terms(*args, n_terms)):
-            if k:
-                total += a[k] * u
-            else:
-                np.multiply(a[0], u, out=total)
+            total += a[k] * u
         return
     n_slots = min(n_terms, store_terms(n_cols))
     store = np.empty((n_slots,) + psi.shape, dtype=np.complex128)
     # one (chunk, 2W) matrix per state: its stored vectors as float64
     mats, cols = store.view(np.float64), out.view(np.float64)
-    cols[...] = 0.0
     for k, _ in enumerate(_scaled_terms(*args, n_terms, store)):
         if (k + 1) % n_slots and k + 1 < n_terms:
             continue  # the chunk is not full yet

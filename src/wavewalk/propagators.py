@@ -263,7 +263,7 @@ def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table,
     support = np.flatnonzero(np.any(rows.reshape(-1, n) != 0.0, axis=0))
     lo, hi, wraps = _light_cone_window(n, periodic, int(support[0]), int(support[-1]),
                                        table.shape[0] - 1)
-    out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)
+    out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)  # the kernel adds into it
     window = out[..., lo:hi]
     kernels.chebyshev_apply(
         diag[..., lo:hi], off[..., lo : hi - 1], corner if wraps else 0.0, center, halfwidth,

@@ -413,7 +413,7 @@ def test_sweep_carpet_equals_whole_lattice_block(tmp_path, case):
     h = build_hamiltonian(uniform_lattice(n))
     center, halfwidth = _chebyshev_enclosure(h)
     coeffs = _chebyshev_table(np.array([halfwidth * z]), _CHEBYSHEV_TOL)
-    acc = np.empty((1, hi - lo + 1, n), dtype=np.complex128)
+    acc = np.zeros((1, hi - lo + 1, n), dtype=np.complex128)
     kernels.chebyshev_apply(h.diag, h.offdiag, h.corner, center, halfwidth, coeffs,
                             np.eye(hi - lo + 1, n, k=lo), acc)
     amps = np.exp(-1j * center * z) * acc[0]
@@ -465,6 +465,27 @@ def test_sweep_under_a_huge_uniform_beta_is_the_beta_0_sweep(tmp_path):
     for name in ("carpet.csv", "intensity.csv"):
         (_, a), (_, b) = (_read_csv(run / name) for run in runs)
         assert np.max(np.abs(a - b)) <= 1e-14
+
+
+def test_disorder_under_a_huge_uniform_beta_is_the_beta_0_ensemble(tmp_path):
+    # ulp(1e17) = 16 would round a diagonal disorder of width 2 away; the
+    # disorder is drawn in the frame shifted by the enclosure centre
+    runs = []
+    for beta in (0.0, 1e17):
+        out = tmp_path / f"beta_{beta:g}"
+        cfg = _write_cfg(tmp_path, f"beta_{beta:g}.json", {
+            "experiment": "disorder",
+            "lattice": {"n_sites": 21, "beta": beta},
+            "zgrid": {"stop": 5.0, "steps": 6},
+            "disorder": {"diag_strength": 2.0},
+            "n_realizations": 8,
+            "output": {"directory": str(out), "formats": ["csv"]},
+        })
+        assert main(["simulate", str(cfg)]) == 0
+        runs.append(_read_csv(out / "observables.csv"))
+    (header, a), (_, b) = runs
+    assert header == runs[1][0]
+    assert np.max(np.abs(a - b)) <= 1e-12
 
 
 def test_formats_control_outputs(tmp_path):

@@ -34,9 +34,11 @@ from wavewalk.ensembles import (
     _block_rows,
     _dephasing,
     _disorder,
+    _disorder_pad,
     _plan_segments,
     _reduce_ensemble,
 )
+from wavewalk.propagators import _chebyshev_enclosure
 
 
 BASE = uniform_lattice(99)
@@ -91,8 +93,11 @@ def _bits(x):
 @pytest.mark.parametrize("boundary", [Boundary.OPEN, Boundary.PERIODIC], ids=["open", "ring"])
 @pytest.mark.parametrize("convention", list(DiagConvention), ids=lambda c: c.value)
 def test_block_draw_matches_the_per_realization_build(boundary, convention):
-    # a block's couplings and betas come stacked from one draw; row by row its
-    # H has the bits of each realization's own lattice and Hamiltonian
+    # a block's couplings and betas come stacked from one draw, in the frame
+    # shifted by the enclosure's centre; row by row its H has the bits of each
+    # realization's own Hamiltonian, built on the betas shifted by that centre
+    # (before their noise is added), or shifted after the build under
+    # minus_degree_gamma, whose diagonal follows the drawn couplings
     n = 23
     r = np.random.default_rng(4)
     n_bonds = n if boundary is Boundary.PERIODIC else n - 1
@@ -101,11 +106,15 @@ def test_block_draw_matches_the_per_realization_build(boundary, convention):
     reads_betas = convention is DiagConvention.BETA_AS_GIVEN
     d = DisorderSpec(0.5, 1.5 if reads_betas else 0.0)
     policy = SeedPolicy(17)
-    [(diag, off, corner)] = _disorder(base, d, ZGrid(np.array([1.0])), policy)[3](3, 11)
+    [(diag, off, corner)] = _disorder(base, d, ZGrid(np.array([1.0])), policy)[2](3, 11)
     assert diag.shape == (8, n) and off.shape == (8, n - 1)
+    pad = _disorder_pad(base.coupling, not reads_betas, d.offdiag_strength, d.diag_strength)
+    center = _chebyshev_enclosure(build_hamiltonian(base), pad=pad)[0]
+    assert center != 0.0
+    shifted = LatticeSpec(n, base.coupling, base.beta - center, boundary, convention)
     for i, k in enumerate(range(3, 11)):
-        h = build_hamiltonian(sample_disordered_lattice(base, d, policy, k))
-        assert _bits(diag[i]) == _bits(h.diag), k
+        h = build_hamiltonian(sample_disordered_lattice(shifted, d, policy, k))
+        assert _bits(diag[i]) == _bits(h.diag if reads_betas else h.diag - center), k
         assert _bits(off[i]) == _bits(h.offdiag), k
         assert _bits(np.broadcast_to(corner, 8)[i]) == _bits(h.corner), k
 
@@ -114,14 +123,42 @@ def test_block_draw_matches_the_per_realization_build(boundary, convention):
                                    np.array([2.5]), np.array([0.0])],
                          ids=["from_0", "from_above_0", "one_step", "one_step_at_0"])
 def test_disorder_plan_is_one_segment_whose_offsets_are_the_grid(zvals):
-    # one segment to the last grid point; row i is met at column i, the end
-    # is the last column
+    # one segment to the last grid point; row i is column i, the end is the
+    # last column
     plan = _plan_segments(zvals, zvals[-1])
-    [(met, offsets, end)] = plan
+    [(rows, offsets)] = plan
     assert offsets == tuple(zvals.tolist())
-    assert met == [(i, i) for i in range(zvals.size)]
-    assert end == zvals.size - 1
+    assert rows == list(range(zvals.size))
     assert _disorder(BASE, DisorderSpec(0.3, 0.0), ZGrid(zvals), POLICY)[0] == plan
+
+
+@pytest.mark.parametrize("zvals, dz, rows_per_segment", [
+    (np.linspace(0.0, 2.0, 21), 0.1, 1),
+    (np.linspace(0.0, 20.0, 201), 0.1, 1),
+    (np.linspace(0.0, 3.0, 31), 0.3, 3),
+    (np.array([0.0, 0.25, 0.5, 0.75, 2.0]), 0.5, None),
+], ids=["0-2_at_0.1", "0-20_at_0.1", "0-3_at_0.3", "row_inside"])
+def test_a_grid_row_at_a_segment_end_is_that_end(zvals, dz, rows_per_segment):
+    # a grid row within 1e-9*max(1, z_end) of a segment's end is that end, so
+    # an aligned grid plans each later segment at its rows alone, whatever
+    # the rounding of k*dz against the grid; in every segment row i is
+    # column i and the end is the last column
+    plan = _plan_segments(zvals, dz)
+    assert len(plan) == round(zvals[-1] / dz)
+    assert [row for rows, _ in plan for row in rows] == list(range(zvals.size))
+    for s, (rows, offsets) in enumerate(plan):
+        assert offsets[-1] == dz and len(offsets) - len(rows) in (0, 1), s
+        for i, row in enumerate(rows):
+            assert abs(offsets[i] - (zvals[row] - s * dz)) <= 1e-9 * max(1.0, (s + 1) * dz), s
+    if rows_per_segment is not None:
+        # the first segment also meets z = 0
+        assert [len(offsets) for _, offsets in plan] == (
+            [rows_per_segment + 1] + [rows_per_segment] * (len(plan) - 1))
+        assert all(len(rows) == len(offsets) for rows, offsets in plan)
+    else:
+        # a row strictly inside a segment leaves its end to a column of its own
+        assert plan == [([0, 1, 2], (0.0, 0.25, 0.5)), ([3], (0.25, 0.5)),
+                        ([], (0.5,)), ([4], (0.5,))]
 
 
 def test_single_clean_realization_equals_direct_evolution():
@@ -374,11 +411,25 @@ def test_dephasing_control_with_a_huge_uniform_beta_is_a_phase():
 
 
 def test_offdiag_disorder_with_a_huge_uniform_beta_is_a_phase():
+    # off-diagonal, diagonal and both disorders, on an open chain and a ring:
+    # the disorder is drawn in the frame centred on the enclosure, so a
+    # uniform beta, however large, is only a phase and the statistics are
+    # beta = 0's
     grid = ZGrid(np.linspace(0.0, 5.0, 6))
-    stats = [run_ensemble(LatticeSpec(21, np.ones(20), np.full(21, beta)), DisorderSpec(0.5, 0.0),
-                          SingleSite(10), grid, 8, 7) for beta in (0.0, 1e17)]
-    assert np.max(np.abs(stats[1].mean_intensity - stats[0].mean_intensity)) <= 1e-14
-    assert np.max(stats[0].sem_intensity) > 1e-3  # the disorder is really there
+    for boundary in Boundary:
+        n_bonds = 21 if boundary is Boundary.PERIODIC else 20
+        for d in (DisorderSpec(0.5, 0.0), DisorderSpec(0.0, 2.0), DisorderSpec(0.5, 2.0)):
+            def stats(beta):
+                return run_ensemble(LatticeSpec(21, np.ones(n_bonds), np.full(21, beta), boundary),
+                                    d, SingleSite(10), grid, 8, 7)
+
+            clean = stats(0.0)
+            assert np.max(clean.sem_intensity) > 1e-3  # the disorder is really there
+            for beta in (3.7, -250.0, 1e8, 1e17):
+                got, case = stats(beta), (boundary, d, beta)
+                for name in ("mean_intensity", "sem_intensity", "variance_trace", "pr_trace"):
+                    diff = np.max(np.abs(getattr(got, name) - getattr(clean, name)))
+                    assert diff <= 1e-14, (case, name, diff)
 
 
 def _block(h, psi0, grid, deph, seed, k_lo, k_hi):

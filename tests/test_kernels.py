@@ -120,10 +120,10 @@ def test_matvec_against_dense(corner):
 
 
 def _apply(diag, off, corner, coeffs, x, terms):
-    """chebyshev_apply about centre 0.3 with half-width 5, into a fresh array;
+    """chebyshev_apply about centre 0.3 with half-width 5, into zeros;
     column j keeps its first terms[j] coefficients and is zero past them."""
     coeffs = np.where(np.arange(coeffs.shape[0])[:, None] < terms, coeffs, 0.0)
-    out = np.empty((len(terms),) + x.shape, dtype=np.complex128)
+    out = np.zeros((len(terms),) + x.shape, dtype=np.complex128)
     kernels.chebyshev_apply(diag, off, corner, 0.3, 5.0, coeffs, x, out)
     return out
 
@@ -192,6 +192,25 @@ def test_a_state_has_the_same_bits_alone_as_inside_a_block(corner, shape):
         assert np.array_equal(block[:, i].view(np.uint64), alone.view(np.uint64)), i
         one = _apply(diag[i:i + 1], off[i:i + 1], corners[i:i + 1], coeffs, x[i:i + 1], terms)
         assert np.array_equal(block[:, i:i + 1].view(np.uint64), one.view(np.uint64)), i
+
+
+@pytest.mark.parametrize("terms", [[12], [1, 9, 17, 18, 33, 40]], ids=["streamed", "stored"])
+def test_the_kernel_adds_into_its_output(terms):
+    # the kernel adds its sum into out, which its callers zero first
+    n, rows = 30, 3
+    r = rng(5)
+    diag = r.normal(size=(rows, n))
+    off = r.uniform(0.5, 1.5, size=(rows, n - 1))
+    x = r.normal(size=(rows, n)) + 1j * r.normal(size=(rows, n))
+    terms = np.array(terms)
+    coeffs = r.normal(size=(terms[-1], terms.size)) / terms[-1]
+    coeffs = np.where(np.arange(terms[-1])[:, None] < terms, coeffs, 0.0)
+    start = r.normal(size=(terms.size, rows, n)) + 1j * r.normal(size=(terms.size, rows, n))
+    out = start.copy()
+    kernels.chebyshev_apply(diag, off, 0.0, 0.3, 5.0, coeffs, x, out)
+    alone = _apply(diag, off, 0.0, coeffs, x, terms)
+    assert np.max(np.abs(alone)) > 0.1
+    assert np.max(np.abs(out - (start + alone))) <= 1e-13
 
 
 def test_active_backend_reported():

@@ -299,7 +299,7 @@ def _full_lattice_chebyshev(h, psi0, zgrid, tol):
             states[i] = psi0.amps
             continue
         coeffs = _chebyshev_table(np.array([halfwidth * z]), tol)
-        acc = np.empty((1, h.n_sites), dtype=np.complex128)
+        acc = np.zeros((1, h.n_sites), dtype=np.complex128)
         kernels.chebyshev_apply(
             h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps, acc
         )
@@ -361,10 +361,10 @@ def test_one_recurrence_equals_one_call_per_column(launch, boundary):
     coeffs = _chebyshev_table(xs, 1e-12)
     assert coeffs.shape[0] > _WINDOW_N  # the light cone passes both ends
     args = (diag, h.offdiag, h.corner, center, halfwidth)
-    got = np.empty((xs.size,) + psi.shape, dtype=np.complex128)
+    got = np.zeros((xs.size,) + psi.shape, dtype=np.complex128)
     kernels.chebyshev_apply(*args, coeffs, psi, got)
-    one = np.empty((1,) + psi.shape, dtype=np.complex128)
     for j, x in enumerate(xs):
+        one = np.zeros((1,) + psi.shape, dtype=np.complex128)
         kernels.chebyshev_apply(*args, _chebyshev_table(np.array([x]), 1e-12), psi, one)
         assert np.max(np.abs(got[j] - one[0])) <= 1e-15, j
         assert np.array_equal(got[j] == 0.0, one[0] == 0.0), j
@@ -385,7 +385,7 @@ def test_zero_padding_of_a_table_is_inert(boundary):
     assert column.shape[0] < table.shape[0]  # column 1 of the table is padded
 
     def apply(coeffs):
-        out = np.empty((coeffs.shape[1],) + psi.shape, dtype=np.complex128)
+        out = np.zeros((coeffs.shape[1],) + psi.shape, dtype=np.complex128)
         kernels.chebyshev_apply(*args, coeffs, psi, out)
         return out
 
