@@ -114,6 +114,8 @@ class EnsembleStats:
     def __post_init__(self):
         for name in ("mean_intensity", "sem_intensity", "variance_trace", "pr_trace"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         _check_near_one(np.sum(self.mean_intensity, axis=1), ROW_SUM_TOL, "mean intensity row sum")
@@ -182,7 +184,10 @@ _MAX_BLOCK = 64  # most realizations per block; a memory constant only
 # widest call's states at each of its cols offsets, the chunk of vectors the
 # Chebyshev kernel stores at a time, and 8 for its initial rows, draws,
 # diagonal and couplings and recurrence temporaries; and one realization's
-# worth more for the kernel's per-state product
+# worth more for the kernel's per-state product and the contiguous copy of
+# the state's stored chunk that it reads. A one-column call stores no chunk,
+# so its site-major (Fortran) copy of out[0], one cell per site and
+# realization, stays within the chunk's share
 _BLOCK_CELLS = 230_000
 
 

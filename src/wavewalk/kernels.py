@@ -11,8 +11,13 @@ order of the expansion) and an output array that it adds into. A one-column
 table is streamed term by term; with more columns the recurrence stores its
 vectors a chunk at a time and adds every column of a state as one real
 product per chunk, so the columns agree with one-column calls to rounding.
-Callers look the kernels up through this module (``kernels.<name>``), so
-they can be swapped at runtime, for instance by a tracer.
+The recurrence holds a block of states site-major (Fortran order: the
+states interleaved per site), whatever the order of its inputs, so every
+elementwise step of the matvec runs over contiguous memory; each element
+goes through the same operations as in a state-major block, so the layout
+moves no bit. Callers look the kernels up through this module
+(``kernels.<name>``), so they can be swapped at runtime, for instance by a
+tracer.
 """
 
 from __future__ import annotations
@@ -66,7 +71,8 @@ def _scaled_terms(shifted, off, corner, inv, psi, n_terms, store=None):
     def slot(k):
         return None if store is None else store[k % store.shape[0]]
 
-    u0 = np.multiply(1.0, psi, out=slot(0), dtype=np.complex128)  # psi as complex
+    # psi as complex, site-major
+    u0 = np.multiply(1.0, psi, out=slot(0), dtype=np.complex128, order="F")
     yield u0
     if n_terms == 1:
         return
@@ -90,31 +96,37 @@ def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, out):
     columns the vectors (-i)^k T_k psi are stored a chunk of
     ``store_terms(nz)`` terms at a time, and each state (leading index of
     psi) adds every column at once as a real product of the chunk's rows of
-    the table with its stored vectors viewed as float64: one product of a
+    the table with its stored vectors, copied contiguous out of the
+    site-major store and viewed as float64: one product of a
     fixed shape per state and chunk, so a state's bits depend on its own H
     and psi and on K, nz and the window only."""
     n_terms, n_cols = coeffs.shape
     # H's entries as complex once, not cast again at every matvec (same bits)
-    shifted, off = (diag - center).astype(np.complex128), off.astype(np.complex128)
+    shifted = (diag - center).astype(np.complex128, order="F")
+    off = off.astype(np.complex128, order="F")
     if isinstance(corner, np.ndarray):
         corner = corner.astype(np.complex128)
     args = (shifted, off, corner, 1.0 / halfwidth, psi)
-    if n_cols == 1:  # no product to share: the streamed sum
-        a, total = coeffs[:, 0], out[0]
+    if n_cols == 1:  # no product to share: the streamed sum, site-major
+        a, total = coeffs[:, 0], np.asfortranarray(out[0])
         for k, u in enumerate(_scaled_terms(*args, n_terms)):
             total += a[k] * u
+        out[0] = total
         return
     n_slots = min(n_terms, store_terms(n_cols))
-    store = np.empty((n_slots,) + psi.shape, dtype=np.complex128)
-    # one (chunk, 2W) matrix per state: its stored vectors as float64
-    mats, cols = store.view(np.float64), out.view(np.float64)
+    # the slots site-major: store[k] is a (..., W) block in Fortran order
+    store = np.empty((n_slots,) + psi.shape[::-1], dtype=np.complex128).transpose(
+        0, *range(psi.ndim, 0, -1))
+    cols = out.view(np.float64)
     for k, _ in enumerate(_scaled_terms(*args, n_terms, store)):
         if (k + 1) % n_slots and k + 1 < n_terms:
             continue  # the chunk is not full yet
         lo = k - k % n_slots  # the chunk holds terms lo..k
-        table, mat = np.ascontiguousarray(coeffs[lo : k + 1].T), mats[: k + 1 - lo]
+        table, chunk = np.ascontiguousarray(coeffs[lo : k + 1].T), store[: k + 1 - lo]
         for state in np.ndindex(psi.shape[:-1]):
-            cols[(slice(None),) + state] += table @ mat[(slice(None),) + state]
+            # the state's (chunk, W) vectors, copied contiguous, as a (chunk, 2W) matrix
+            mat = np.ascontiguousarray(chunk[(slice(None),) + state]).view(np.float64)
+            cols[(slice(None),) + state] += table @ mat
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,15 @@ def _light_cone_window(n: int, periodic: bool, a: int, b: int, k: int):
 
 
 # The work model of a light-cone call, in units of about one complex site
-# update of the recurrence (4-30 ns on 2 cores, by block shape). A
-# recurrence step on R rows of a W-site window costs R*W units, plus this
-# many for the fixed cost of its numpy calls (about 13 us a step)
+# update of the recurrence (4-7 ns on 2 cores on site-major blocks of 8 to
+# 64 rows, up to 10 ns on one long row). A recurrence step on R rows of a
+# W-site window costs R*W units, plus this many for the fixed cost of its
+# numpy calls (7-13 us a step)
 _STEP_SITES = 1000
 # the per-state products form the nz columns from the K stored terms at
-# 0.11-0.25 ns per term, column and site: 1/_PRODUCT_TERMS of a unit
+# 0.1-0.3 ns per term, column and site (to 0.5 ns on blocks of 10-site
+# rows, each copied out of the site-major store): about 1/_PRODUCT_TERMS
+# of a unit
 _PRODUCT_TERMS = 32
 # an output cell: its state, intensity and reduction (25-57 ns)
 _CELL_SITES = 4

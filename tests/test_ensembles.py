@@ -585,6 +585,21 @@ def test_ensemble_stats_reject_nan():
         EnsembleStats(1, ZGrid(np.array([0.0])), nan_mean, np.zeros((1, 2)), np.zeros(1), np.ones(1))
 
 
+@pytest.mark.parametrize("field", ["mean_intensity", "sem_intensity", "variance_trace",
+                                   "pr_trace"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ensemble_stats_reject_every_non_finite_statistic(field, bad):
+    # each statistic must be finite: an inf SEM passes "sem >= 0", and the
+    # traces have no other check
+    stats = {"mean_intensity": np.array([[0.5, 0.5]]), "sem_intensity": np.zeros((1, 2)),
+             "variance_trace": np.zeros(1), "pr_trace": np.ones(1)}
+    EnsembleStats(1, ZGrid(np.array([0.0])), **stats)
+    stats[field] = stats[field].copy()
+    stats[field].flat[0] = bad
+    with pytest.raises(ValueError, match=field):
+        EnsembleStats(1, ZGrid(np.array([0.0])), **stats)
+
+
 def test_strong_dephasing_slows_spread():
     # sigma^2 under strong temporal noise must fall well below the ballistic clean value
     lat = uniform_lattice(101)
