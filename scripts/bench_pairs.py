@@ -3,9 +3,10 @@ alternating pairs.
 
     python3 scripts/bench_pairs.py OLD_ROOT NEW_ROOT --workload W --pairs N --seconds S
 
-Each pair runs ``bench/run.py --trace 0`` once in each checkout, each in a
-fresh interpreter, with OLD_ROOT first in even pairs and NEW_ROOT first in
-odd ones, so that a drift in the machine's speed falls on both sides alike.
+Each pair runs ``bench/run.py --seed 1 --trace 0`` once in each checkout,
+each in a fresh interpreter, with OLD_ROOT first in even pairs and NEW_ROOT
+first in odd ones, so that a drift in the machine's speed falls on both
+sides alike.
 Nothing under either ``bench/`` is edited (no bytecode is written there;
 ``bench/run.py`` writes its own run files to ``bench/out/``). For every
 end-to-end metric that NEW_ROOT's ``BENCHMARK.json`` declares, it prints
@@ -25,12 +26,15 @@ import sys
 from pathlib import Path
 
 
-def _bench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+SEED = 1
+
+
+def _bench(root: Path, workload: str, seconds: float) -> dict:
     """One untraced ``bench/run.py`` run in ``root``: its result object."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
         cwd=root, env=env, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -75,7 +79,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
@@ -87,7 +90,7 @@ def main(argv=None) -> int:
         order = ("old", "new") if i % 2 == 0 else ("new", "old")
         for side in order:
             try:
-                result = _bench(roots[side], args.workload, args.seed, args.seconds)
+                result = _bench(roots[side], args.workload, args.seconds)
             except RuntimeError as exc:
                 print(f"pair {i}: {side}: {exc}", file=sys.stderr)
                 return 1
@@ -97,7 +100,7 @@ def main(argv=None) -> int:
             values[side].append(metrics)
             print(f"pair {i} {side}: correct={result['correct']} failed={result['failed']} "
                   + " ".join(f"{k}={v:.4g}" for k, v in sorted(metrics.items())), flush=True)
-    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, seed {args.seed}")
+    print(f"\n{args.workload}: {args.pairs} pairs of {args.seconds:g} s, seed {SEED}")
     print("\n".join(summarize(spec["end_to_end"], values["old"], values["new"])))
     return 0 if ok else 1
 
