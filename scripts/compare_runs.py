@@ -1,14 +1,17 @@
-"""Compare the artifacts of two checkouts on the example configs and the
-benchmark workloads.
+"""Compare the artifacts of two checkouts on the example configs, the
+benchmark workloads and a few frame configs.
 
     python3 scripts/compare_runs.py OLD_ROOT NEW_ROOT
 
-Runs every ``configs/*.json`` of NEW_ROOT, then the four benchmark workloads
-at seed 1 with configs built by NEW_ROOT's ``bench/workloads.py`` (read, not
-changed), once with OLD_ROOT's ``src/`` and once with NEW_ROOT's, each in a
-fresh interpreter writing to a temporary directory. It prints one line per
-artifact: ``identical``, or the number of differing lines and the largest
-absolute difference over the numeric fields of those lines. Exits 1 if any
+Runs every ``configs/*.json`` of NEW_ROOT, the four benchmark workloads at
+seed 1 with configs built by NEW_ROOT's ``bench/workloads.py`` (read, not
+changed), and the small configs of ``FRAMES`` below, which reach frames that
+neither the example configs nor the workloads do: an enclosure with a
+nonzero centre on each engine, and a noise segment that is not a power of
+two. Each runs once with OLD_ROOT's ``src/`` and once with NEW_ROOT's, each
+in a fresh interpreter writing to a temporary directory. It prints one line
+per artifact: ``identical``, or the number of differing lines and the
+largest absolute difference over the numeric fields of those lines. Exits 1 if any
 artifact differs or any run fails.
 """
 
@@ -24,6 +27,36 @@ import types
 from pathlib import Path
 
 
+# name -> config, each a fraction of a second: a Chebyshev launch and a
+# boundary sweep on a uniform beta (centre 3.0 and 2.0), a disorder ensemble
+# on a beta list with diagonal disorder, one on a ring under
+# minus_degree_gamma (centre -2.6), and dephasing on segments of 0.1
+FRAMES = {
+    "frame_chebyshev_beta": {
+        "experiment": "ballistic", "lattice": {"n_sites": 201, "beta": 3.0},
+        "zgrid": {"stop": 10.0, "steps": 101}, "propagator": {"method": "chebyshev"}},
+    "frame_sweep_beta": {
+        "experiment": "boundary_sweep", "lattice": {"n_sites": 120, "beta": 2.0},
+        "zgrid": {"stop": 8.0, "steps": 81}},
+    "frame_disorder_beta_list": {
+        "experiment": "disorder", "lattice": {"n_sites": 41, "beta": [0.05 * j for j in range(41)]},
+        "zgrid": {"stop": 10.0, "steps": 41},
+        "disorder": {"offdiag_strength": 0.3, "diag_strength": 1.5},
+        "n_realizations": 100, "master_seed": 7},
+    "frame_disorder_ring_minus_degree": {
+        "experiment": "disorder",
+        "lattice": {"n_sites": 40, "boundary": "periodic", "coupling": 1.3,
+                    "diag_convention": "minus_degree_gamma"},
+        "zgrid": {"stop": 10.0, "steps": 41}, "disorder": {"offdiag_strength": 0.4},
+        "n_realizations": 100, "master_seed": 11},
+    "frame_dephasing_segment": {
+        "experiment": "dephasing", "lattice": {"n_sites": 41},
+        "zgrid": {"stop": 2.0, "steps": 21},
+        "dephasing": {"segment_length": 0.1, "phase_strength": 2.0},
+        "n_realizations": 50, "master_seed": 5},
+}
+
+
 def _run(root: Path, config: Path, out: Path) -> str | None:
     """Simulate ``config`` with ``root``'s sources; the error text if it fails."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
@@ -34,19 +67,23 @@ def _run(root: Path, config: Path, out: Path) -> str | None:
     return None if proc.returncode == 0 else f"exit {proc.returncode}: {proc.stderr.strip()}"
 
 
-def _workload_configs(root: Path, tmp: Path) -> list[Path]:
-    """The benchmark workloads at seed 1, as config files written to ``tmp``.
-    ``root``'s ``bench/workloads.py`` is executed from its source text, so
-    no bytecode cache is written next to it."""
+def _workload_configs(root: Path, tmp: Path) -> dict:
+    """The benchmark workloads at seed 1, name -> config, each writing under
+    ``tmp``. ``root``'s ``bench/workloads.py`` is executed from its source
+    text, so no bytecode cache is written next to it."""
     path = root / "bench" / "workloads.py"
     workloads = types.ModuleType("workloads")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), workloads.__dict__)
-    configs = []
-    for name in workloads.WORKLOADS:
-        config = tmp / f"{name}.json"
-        config.write_text(json.dumps(workloads.config(workloads.params(name, 1), tmp / name)))
-        configs.append(config)
-    return configs
+    return {name: workloads.config(workloads.params(name, 1), tmp / name)
+            for name in workloads.WORKLOADS}
+
+
+def _write_configs(configs: dict, tmp: Path) -> list[Path]:
+    """``configs`` (name -> config) as config files written to ``tmp``."""
+    paths = [tmp / f"{name}.json" for name in configs]
+    for path, config in zip(paths, configs.values()):
+        path.write_text(json.dumps(config))
+    return paths
 
 
 def _max_abs_delta(a: str, b: str) -> float | None:
@@ -92,7 +129,8 @@ def main(argv: list[str]) -> int:
         return 2
     same = True
     with tempfile.TemporaryDirectory() as tmp:
-        for config in configs + _workload_configs(new_root, Path(tmp)):
+        generated = {**_workload_configs(new_root, Path(tmp)), **FRAMES}
+        for config in configs + _write_configs(generated, Path(tmp)):
             outs = {side: Path(tmp) / side / config.stem for side in ("old", "new")}
             errors = [(side, _run(root, config, outs[side]))
                       for side, root in (("old", old_root), ("new", new_root))]

@@ -1,13 +1,14 @@
 """Experiment configuration: strict JSON schema, defaults, key-path errors.
 
-One table, ``_SCHEMA``, gives each key's kind, default and bounds; one
-resolver, ``_resolve``, walks it, and ``load_config`` holds the rules that
-tie fields together. Unknown keys are rejected (naming the full key path),
-and so are keys the chosen experiment does not read (``READS``). Validation
-fills every default, so validating an already-resolved config is idempotent,
-and the run.json emitted by the runner (resolved config plus
-``version``/``backend`` metadata, which the loader accepts and drops)
-round-trips to the same resolved config.
+One table, ``_SCHEMA``, gives each key's kind, default and every bound on
+that key alone, ``n_sites``-dependent ones included; one resolver,
+``_resolve``, walks it and refuses unknown keys (naming the full key path).
+``load_config`` keeps only the rules that tie keys together, the resource
+ceilings among them, and refuses a key the experiment does not read
+(``READS``). Validation fills every default, so validating an
+already-resolved config is idempotent, and the run.json emitted by the
+runner (resolved config plus ``version``/``backend`` metadata, which the
+loader accepts and drops) round-trips to the same resolved config.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ READS = {
 _ALWAYS = ("experiment", "lattice", "zgrid", "output")
 _METADATA = ("version", "backend")  # written by the runner, dropped on re-validation
 _ECHOED = ("initial_state", "propagator", "n_realizations", "master_seed")
-_OWN_BLOCK = {"disorder": "disorder", "dephasing": "dephasing",
-              "boundary_sweep": "sweep", "classical": "classical"}
 
 _REQUIRED = object()  # the default of a key that has none
 
@@ -70,6 +69,10 @@ _MAX_REALIZATIONS = 100_000
 
 def _n_sites(done: dict) -> int:
     return done["lattice"]["n_sites"]
+
+
+def _last_site(done: dict) -> int:
+    return _n_sites(done) - 1
 
 
 # block -> key -> (kind, default, bounds). "" is the top level, and each
@@ -102,15 +105,15 @@ _SCHEMA = {
         "kind": ("str", "single_site", (("in", ["single_site", "two_site", "gaussian"]),)),
     },
     "initial_state.single_site": {
-        "site": ("int", lambda done: _n_sites(done) // 2, ((">=", 0),)),
+        "site": ("int", lambda done: _n_sites(done) // 2, ((">=", 0), ("<=", _last_site))),
     },
     "initial_state.two_site": {
-        "sites": ("pair", _REQUIRED, ((">=", 0),)),
+        "sites": ("pair", _REQUIRED, ((">=", 0), ("<=", _last_site))),
         "relative_phase": ("float", 0.0, ()),
     },
     "initial_state.gaussian": {
         "center": ("float", lambda done: _n_sites(done) / 2.0,
-                   ((">=", 0.0), ("<=", lambda done: float(_n_sites(done) - 1)))),
+                   ((">=", 0.0), ("<=", _last_site))),
         "width": ("float", 3.0, ((">", 0.0),)),
         "tilt": ("float", 0.0, ()),
     },
@@ -134,7 +137,7 @@ _SCHEMA = {
     },
     "sweep": {
         "input_min": ("int", 0, ((">=", 0),)),
-        "input_max": ("int", 20, ((">=", 0),)),
+        "input_max": ("int", 20, ((">=", 0), ("<=", _last_site))),
     },
     "classical": {
         "gamma": ("float", lambda done: float(np.mean(done["lattice"]["coupling"])),
@@ -398,14 +401,8 @@ def load_config(raw: dict) -> ExperimentConfig:
 
     ini = cfg["initial_state"] = _resolve(cfg["initial_state"], "initial_state",
                                           _SCHEMA["initial_state"], cfg)
-    if ini["kind"] == "single_site" and ini["site"] >= n_sites:
-        _err("initial_state.site", f"site {ini['site']} outside lattice of {n_sites} sites")
-    if ini["kind"] == "two_site":
-        if max(ini["sites"]) >= n_sites:
-            _err("initial_state.sites",
-                 f"sites {ini['sites']} outside lattice of {n_sites} sites")
-        if ini["sites"][0] == ini["sites"][1]:
-            _err("initial_state.sites", "the two sites must differ")
+    if ini["kind"] == "two_site" and ini["sites"][0] == ini["sites"][1]:
+        _err("initial_state.sites", "the two sites must differ")
     if ini["kind"] == "gaussian":
         # the launch is normalized by its sum of squares, which the site nearest
         # the centre dominates: if that site's envelope squared underflows, so
@@ -447,11 +444,10 @@ def load_config(raw: dict) -> ExperimentConfig:
     if experiment == "boundary_sweep" and lattice["boundary"] != "open":
         _err("lattice.boundary", "boundary_sweep needs an open chain (a reflecting edge)")
 
-    block = {}  # the experiment's own block, if it has one
-    name = _OWN_BLOCK.get(experiment)
-    if name in ("disorder", "dephasing") and name not in raw:
-        _err(name, f"missing block required by the {experiment} experiment")
-    if name:
+    block = {}  # the experiment's own block, if any: the key it reads beyond _ECHOED
+    for name in set(READS[experiment]) - set(_ECHOED):
+        if name in ("disorder", "dephasing") and name not in raw:
+            _err(name, f"missing block required by the {experiment} experiment")
         block[name] = cfg[name] = _resolve(cfg[name], name, _SCHEMA[name], cfg)
     dis = block.get("disorder", {})
     if experiment == "disorder":
@@ -470,8 +466,6 @@ def load_config(raw: dict) -> ExperimentConfig:
         lo, hi = block["sweep"]["input_min"], block["sweep"]["input_max"]
         if hi < lo:
             _err("sweep.input_max", f"must be >= input_min={lo}")
-        if hi >= n_sites:
-            _err("sweep.input_max", f"site {hi} outside lattice of {n_sites} sites")
 
     # resource bounds, checked before anything is allocated
     eigen_bytes = (40 if periodic else 16) * n_sites ** 2

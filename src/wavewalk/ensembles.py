@@ -179,7 +179,9 @@ def _reduce_ensemble(block_rows, block: int, zgrid: ZGrid, n_realizations: int, 
                          sem_intensity=sem, variance_trace=var_sum / nr, pr_trace=pr_sum / nr)
 
 
-_MAX_BLOCK = 64  # most realizations per block; a memory constant only
+# most realizations per block: it sets speed, faster on some ensembles and
+# slower on others; _BLOCK_CELLS bounds a block's memory
+_MAX_BLOCK = 64
 # most complex cells a block holds (3.7 MB). Per site and realization: the
 # widest call's states at each of its cols offsets, the chunk of vectors the
 # Chebyshev kernel stores at a time, and 8 for its initial rows, draws,
@@ -193,8 +195,8 @@ _BLOCK_CELLS = 230_000
 
 def _block(n: int, cols: int) -> int:
     """Realizations per block on n sites, for a plan whose widest light-cone
-    call has ``cols`` columns: _MAX_BLOCK, fewer where the block would pass
-    _BLOCK_CELLS. The loader charges the blocks it picks."""
+    call has ``cols`` columns: _MAX_BLOCK (speed), fewer where the block
+    would pass _BLOCK_CELLS (memory). The loader charges the blocks it picks."""
     cells = (cols + kernels.store_terms(cols) + 8) * n
     return max(1, min(_MAX_BLOCK, _BLOCK_CELLS // cells - 1))
 

@@ -157,6 +157,10 @@ INVALID = [
     ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
      "initial_state": {"kind": "two_site", "sites": [4, 4]}}, "initial_state.sites"),
     ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "initial_state": {"kind": "two_site", "sites": [3, 9]}}, "initial_state.sites[1]"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
+     "initial_state": {"kind": "gaussian", "center": 8.5}}, "initial_state.center"),
+    ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
      "initial_state": {"kind": "gaussian", "width": 0.0}}, "initial_state.width"),
     ({"experiment": "ballistic", "lattice": {"n_sites": 9}, "zgrid": {"stop": 1.0},
      "propagator": {"method": "lanczos"}}, "propagator.method"),

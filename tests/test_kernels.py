@@ -166,10 +166,13 @@ def test_numpy_kernels_take_couplings_and_corners_row_by_row():
 
 
 # (sites, states, terms of each column): a chunk of 16 stored terms, then
-# many columns on a small lattice, where one product over the whole block
-# would give other bits than a product per state
+# many columns on a small lattice, and a disorder block of 16 states and 61
+# columns on 101 sites; on each of the last two, one product over the whole
+# block would give other bits than a product per state (on 99 sites it
+# happens not to)
 BLOCK_SHAPES = {"chunks": (60, 7, [1, 9, 17, 18, 33, 40]),
-                "many_columns": (10, 32, list(range(150, 251)))}
+                "many_columns": (10, 32, list(range(150, 251))),
+                "disorder_block": (101, 16, list(range(1, 122, 2)))}
 
 
 @pytest.mark.parametrize("shape", list(BLOCK_SHAPES))
