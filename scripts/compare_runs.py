@@ -7,12 +7,14 @@ Runs every ``configs/*.json`` of NEW_ROOT, the four benchmark workloads at
 seed 1 with configs built by NEW_ROOT's ``bench/workloads.py`` (read, not
 changed), and the small configs of ``FRAMES`` below, which reach frames that
 neither the example configs nor the workloads do: an enclosure with a
-nonzero centre on each engine, and a noise segment that is not a power of
-two. Each runs once with OLD_ROOT's ``src/`` and once with NEW_ROOT's, each
-in a fresh interpreter writing to a temporary directory. It prints one line
-per artifact: ``identical``, or the number of differing lines and the
-largest absolute difference over the numeric fields of those lines. Exits 1 if any
-artifact differs or any run fails.
+nonzero centre on each engine and on each path that returns the centre as
+a phase (a Chebyshev launch whose light cone wraps a ring, a two-site launch
+on a beta list, the zero-noise dephasing control), and a noise segment that
+is not a power of two. Each runs once with OLD_ROOT's ``src/`` and once with
+NEW_ROOT's, each in a fresh interpreter writing to a temporary directory. It
+prints one line per artifact: ``identical``, or the number of differing
+lines and the largest absolute difference over the numeric fields of those
+lines. Exits 1 if any artifact differs or any run fails.
 """
 
 from __future__ import annotations
@@ -28,13 +30,25 @@ from pathlib import Path
 
 
 # name -> config, each a fraction of a second: a Chebyshev launch and a
-# boundary sweep on a uniform beta (centre 3.0 and 2.0), a disorder ensemble
-# on a beta list with diagonal disorder, one on a ring under
-# minus_degree_gamma (centre -2.6), and dephasing on segments of 0.1
+# boundary sweep on a uniform beta (centre 3.0 and 2.0), a Chebyshev launch
+# on a ring whose light cone wraps (centre 1.5), a two-site Chebyshev launch
+# on a beta list, a disorder ensemble on a beta list with diagonal disorder,
+# one on a ring under minus_degree_gamma (centre -2.6), dephasing on segments
+# of 0.1, and the zero-noise dephasing control, the one ensemble run that
+# returns its centre (2.5) as a phase
 FRAMES = {
     "frame_chebyshev_beta": {
         "experiment": "ballistic", "lattice": {"n_sites": 201, "beta": 3.0},
         "zgrid": {"stop": 10.0, "steps": 101}, "propagator": {"method": "chebyshev"}},
+    "frame_chebyshev_ring_beta": {
+        "experiment": "ballistic",
+        "lattice": {"n_sites": 40, "boundary": "periodic", "beta": 1.5},
+        "zgrid": {"stop": 20.0, "steps": 41}, "propagator": {"method": "chebyshev"}},
+    "frame_chebyshev_two_site_beta_list": {
+        "experiment": "ballistic",
+        "lattice": {"n_sites": 301, "beta": [0.01 * j for j in range(301)]},
+        "initial_state": {"kind": "two_site", "sites": [150, 151]},
+        "zgrid": {"stop": 10.0, "steps": 41}, "propagator": {"method": "chebyshev"}},
     "frame_sweep_beta": {
         "experiment": "boundary_sweep", "lattice": {"n_sites": 120, "beta": 2.0},
         "zgrid": {"stop": 8.0, "steps": 81}},
@@ -54,6 +68,11 @@ FRAMES = {
         "zgrid": {"stop": 2.0, "steps": 21},
         "dephasing": {"segment_length": 0.1, "phase_strength": 2.0},
         "n_realizations": 50, "master_seed": 5},
+    "frame_dephasing_control_beta": {
+        "experiment": "dephasing", "lattice": {"n_sites": 41, "beta": 2.5},
+        "zgrid": {"stop": 5.0, "steps": 21},
+        "dephasing": {"segment_length": 0.5, "phase_strength": 0.0},
+        "n_realizations": 10, "master_seed": 3},
 }
 
 

@@ -67,8 +67,8 @@ class DisorderSpec:
     def __post_init__(self):
         if not 0.0 <= self.offdiag_strength < 1.0:
             raise ValueError("offdiag_strength must satisfy 0 <= w < 1")
-        if self.diag_strength < 0.0:
-            raise ValueError("diag_strength must be >= 0")
+        if not 0.0 <= self.diag_strength < np.inf:
+            raise ValueError("diag_strength must be finite and >= 0")
 
     @property
     def is_clean(self) -> bool:
@@ -84,10 +84,10 @@ class DephasingSpec:
     phase_strength: float
 
     def __post_init__(self):
-        if self.segment_length <= 0.0:
-            raise ValueError("segment_length must be > 0")
-        if self.phase_strength < 0.0:
-            raise ValueError("phase_strength must be >= 0")
+        if not 0.0 < self.segment_length < np.inf:
+            raise ValueError("segment_length must be finite and > 0")
+        if not 0.0 <= self.phase_strength < np.inf:
+            raise ValueError("phase_strength must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -272,8 +272,7 @@ def _block_rows(plan: list, halfwidth: float, draws, psi0: WaveFunction):
     def block_rows(k_lo: int, k_hi: int):
         psi = np.tile(psi0.amps, (k_hi - k_lo, 1))
         for (rows, offsets), (diag, off, corner) in zip(plan, draws(k_lo, k_hi)):
-            amps = _light_cone_rows(diag, off, corner, 0.0, halfwidth, tables[offsets], psi,
-                                    offsets)
+            amps = _light_cone_rows(diag, off, corner, halfwidth, tables[offsets], psi)
             inten = np.abs(amps[: len(rows)])
             # the next segment starts from this one's end; the states go
             # before the block's sums take memory of their own

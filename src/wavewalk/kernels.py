@@ -48,8 +48,9 @@ def tridiag_matvec(diag, off, corner, x):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev propagator core:  sum_k a_k (-i)^k T_k(Hs) psi, for real a_k,
-# with Hs = (H - center) / halfwidth rescaled to spectrum within [-1, 1].
+# Chebyshev propagator core:  sum_k a_k (-i)^k T_k(Hs) psi, for real a_k, with
+# Hs = (H - center) / halfwidth rescaled to spectrum within [-1, 1]. Callers
+# pass H - center; only chebyshev_rows and evolve_eigen return the centre as a phase.
 # ---------------------------------------------------------------------------
 
 # a chunk of stored Chebyshev vectors holds at most max(nz, this) terms, so
@@ -85,11 +86,11 @@ def _scaled_terms(shifted, off, corner, inv, psi, n_terms, store=None):
         yield u1
 
 
-def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, out):
+def chebyshev_apply(out, diag, off, corner, halfwidth, coeffs, psi):
     """Add sum_k coeffs[k, j] (-i)^k T_k(Hs) psi, along the last axis of
-    psi, into ``out[j]`` for each column j of the real (K, nz) table
-    ``coeffs``, from one recurrence of K terms; a caller that wants the sum
-    alone passes zeros.
+    psi, into ``out[j]`` (first, as in ``np.copyto``) for each column j of
+    the real (K, nz) table ``coeffs``, from one recurrence of K terms, with
+    ``diag`` that of H - center; a caller that wants the sum alone passes zeros.
 
     A column that ends early is zero past its own order; those zeros add
     only zeros. A one-column table is streamed term by term. With more
@@ -102,11 +103,11 @@ def chebyshev_apply(diag, off, corner, center, halfwidth, coeffs, psi, out):
     and psi and on K, nz and the window only."""
     n_terms, n_cols = coeffs.shape
     # H's entries as complex once, not cast again at every matvec (same bits)
-    shifted = (diag - center).astype(np.complex128, order="F")
+    diag = diag.astype(np.complex128, order="F")
     off = off.astype(np.complex128, order="F")
     if isinstance(corner, np.ndarray):
         corner = corner.astype(np.complex128)
-    args = (shifted, off, corner, 1.0 / halfwidth, psi)
+    args = (diag, off, corner, 1.0 / halfwidth, psi)
     if n_cols == 1:  # no product to share: the streamed sum, site-major
         a, total = coeffs[:, 0], np.asfortranarray(out[0])
         for k, u in enumerate(_scaled_terms(*args, n_terms)):

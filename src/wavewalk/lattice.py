@@ -239,9 +239,9 @@ def make_initial_state(spec: InitialState, n_sites: int) -> WaveFunction:
         amps[spec.j0] = 1.0 / math.sqrt(2.0)
         amps[spec.j1] = np.exp(1j * spec.relative_phase) / math.sqrt(2.0)
     elif isinstance(spec, GaussianBeam):
-        if spec.width_sites <= 0.0:
+        if not spec.width_sites > 0.0:
             raise ValueError("width_sites must be > 0")
-        _check_site(int(round(spec.center)), n_sites, "center")
+        _check_site(np.round(spec.center), n_sites, "center")  # NaN and inf fail the check
         j = np.arange(n_sites)
         envelope = _gaussian_envelope(j - spec.center, spec.width_sites)
         amps = envelope * np.exp(1j * spec.tilt_phase_per_site * j)

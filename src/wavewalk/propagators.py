@@ -251,13 +251,12 @@ def _chebyshev_work(n: int, periodic: bool, a: int, b: int, rows: int, halfwidth
     return calls * call + k_max * nz * _COEFF_SITES
 
 
-def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table,
-                     rows: np.ndarray, zvals) -> np.ndarray:
-    """exp(-iHz) ``rows`` (a state of n sites, or a block) at each z of
-    ``zvals``, stacked on a new first axis; H's ``diag``, couplings ``off`` and
-    ring ``corner`` are each shared or one per state. Column j of ``table``
-    holds the coefficients at halfwidth*zvals[j]. One recurrence of K =
-    ``table.shape[0]`` terms serves every z, on the light-cone window of the
+def _light_cone_rows(diag, off, corner, halfwidth: float, table, rows: np.ndarray) -> np.ndarray:
+    """exp(-iHz) ``rows`` (a state of n sites, or a block) at the z of each
+    column of ``table`` (its coefficients at halfwidth*z), stacked on a new
+    first axis, for H given by ``diag``, couplings ``off`` and ring ``corner``,
+    each shared or one per state; callers pass H - center. One recurrence of
+    K = ``table.shape[0]`` terms serves every z, on the light-cone window of the
     rows' joint support at order K - 1: sites outside a z's own light cone
     hold 0 up to sign (the table's zeros past its order meet the recurrence's
     exact zeros), and inside it the result is the whole lattice's to rounding
@@ -266,26 +265,25 @@ def _light_cone_rows(diag, off, corner, center: float, halfwidth: float, table,
     support = np.flatnonzero(np.any(rows.reshape(-1, n) != 0.0, axis=0))
     lo, hi, wraps = _light_cone_window(n, periodic, int(support[0]), int(support[-1]),
                                        table.shape[0] - 1)
-    out = np.zeros((len(zvals),) + rows.shape, dtype=np.complex128)  # the kernel adds into it
-    window = out[..., lo:hi]
-    kernels.chebyshev_apply(
-        diag[..., lo:hi], off[..., lo : hi - 1], corner if wraps else 0.0, center, halfwidth,
-        table, rows[..., lo:hi], window,
-    )
-    # the recurrence expanded exp(-i(H - center)z), so the centre returns as a
-    # phase; the phase goes first, as numpy's complex product is not symmetric in its bits
-    phases = np.exp(-1j * center * np.asarray(zvals, dtype=np.float64))
-    np.multiply(phases.reshape((-1,) + (1,) * rows.ndim), window, out=window)
+    out = np.zeros(table.shape[1:] + rows.shape, dtype=np.complex128)  # the kernel adds into it
+    kernels.chebyshev_apply(out[..., lo:hi], diag[..., lo:hi], off[..., lo : hi - 1],
+                            corner if wraps else 0.0, halfwidth, table, rows[..., lo:hi])
     return out
 
 
 def chebyshev_rows(h: Hamiltonian, rows: np.ndarray, zvals,
                    tol: float = _CHEBYSHEV_TOL) -> np.ndarray:
     """exp(-iHz) ``rows`` at each z of ``zvals``, on the whole lattice's
-    enclosure: one ``_light_cone_rows`` call."""
+    enclosure: one ``_light_cone_rows`` call on H - center, and the centre
+    back as the phase exp(-i center z), as ``evolve_eigen`` returns it."""
     center, halfwidth = _chebyshev_enclosure(h)
     table = _chebyshev_table(halfwidth * np.asarray(zvals), tol)
-    return _light_cone_rows(h.diag, h.offdiag, h.corner, center, halfwidth, table, rows, zvals)
+    out = _light_cone_rows(h.diag - center, h.offdiag, h.corner, halfwidth, table, rows)
+    if center != 0.0:
+        # the phase goes first, as numpy's complex product is not symmetric in its bits
+        phases = np.exp(-1j * center * np.asarray(zvals, dtype=np.float64))
+        np.multiply(phases.reshape((-1,) + (1,) * rows.ndim), out, out=out)
+    return out
 
 
 def evolve_chebyshev(

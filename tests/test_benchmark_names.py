@@ -75,5 +75,5 @@ def test_a_kernel_call_makes_one_matvec_per_table_row_after_the_first(monkeypatc
     n = 60
     psi = np.eye(2, n, k=30)
     out = np.empty((table.shape[1],) + psi.shape, dtype=np.complex128)
-    kernels.chebyshev_apply(np.zeros(n), np.ones(n - 1), 0.0, 0.0, 2.0, table, psi, out)
+    kernels.chebyshev_apply(out, np.zeros(n), np.ones(n - 1), 0.0, 2.0, table, psi)
     assert table.shape[0] > 1 and len(calls) == table.shape[0] - 1

@@ -63,7 +63,7 @@ def block_calls(draw):
 
 def _call(diag, off, corner, table, psi):
     out = np.zeros((table.shape[1],) + psi.shape, dtype=np.complex128)
-    kernels.chebyshev_apply(diag, off, corner, CENTER, HALFWIDTH, table, psi, out)
+    kernels.chebyshev_apply(out, diag - CENTER, off, corner, HALFWIDTH, table, psi)
     return out
 
 

@@ -414,8 +414,8 @@ def test_sweep_carpet_equals_whole_lattice_block(tmp_path, case):
     center, halfwidth = _chebyshev_enclosure(h)
     coeffs = _chebyshev_table(np.array([halfwidth * z]), _CHEBYSHEV_TOL)
     acc = np.zeros((1, hi - lo + 1, n), dtype=np.complex128)
-    kernels.chebyshev_apply(h.diag, h.offdiag, h.corner, center, halfwidth, coeffs,
-                            np.eye(hi - lo + 1, n, k=lo), acc)
+    kernels.chebyshev_apply(acc, h.diag - center, h.offdiag, h.corner, halfwidth, coeffs,
+                            np.eye(hi - lo + 1, n, k=lo))
     amps = np.exp(-1j * center * z) * acc[0]
     assert np.array_equal(carpet[:, 1:], amps.real ** 2 + amps.imag ** 2)
     # and against the spectral reference, input by input
@@ -573,14 +573,14 @@ def test_chebyshev_work_estimate_bounds_the_run(tmp_path, monkeypatch, payload):
     done = []
     apply = kernels.chebyshev_apply
 
-    def counting(diag, off, corner, center, halfwidth, coeffs, psi, out):
+    def counting(out, diag, off, corner, halfwidth, coeffs, psi):
         # the recurrence steps; then a one-column table's streamed sum, one
         # update of the window per term, or else every term of every column
         # for each state, at the weight the model gives the per-state products
         k, n_cols = coeffs.shape
         sums = k * psi.size if n_cols == 1 else k * n_cols * psi.size // _PRODUCT_TERMS
         done.append((k - 1) * (psi.size + _STEP_SITES) + sums)
-        return apply(diag, off, corner, center, halfwidth, coeffs, psi, out)
+        return apply(out, diag, off, corner, halfwidth, coeffs, psi)
 
     monkeypatch.setattr(kernels, "chebyshev_apply", counting)
     run_experiment(cfg, output_dir=str(tmp_path))
@@ -618,9 +618,13 @@ def test_work_estimate_halfwidth_bounds_the_engine_enclosure(tmp_path, monkeypat
     monkeypatch.setattr(config, "_chebyshev_work",
                         lambda *args: charged.append(args[5]) or work(*args))
     cfg = config.load_config(payload)
+
+    def spy(diag, off, corner, halfwidth, table, states):
+        used.append(halfwidth)
+        return rows(diag, off, corner, halfwidth, table, states)
+
     for module in (propagators, ensembles):
-        monkeypatch.setattr(module, "_light_cone_rows",
-                            lambda *args: used.append(args[4]) or rows(*args))
+        monkeypatch.setattr(module, "_light_cone_rows", spy)
     run_experiment(cfg, output_dir=str(tmp_path))
     assert charged and used
     assert min(charged) >= max(used)

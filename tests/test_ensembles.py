@@ -59,6 +59,21 @@ def test_disorder_spec_validation():
         DisorderSpec(diag_strength=-1.0)
 
 
+NON_FINITE_SPECS = {
+    "diag_strength": lambda x: DisorderSpec(0.1, diag_strength=x),
+    "segment_length": lambda x: DephasingSpec(segment_length=x, phase_strength=1.0),
+    "phase_strength": lambda x: DephasingSpec(segment_length=0.5, phase_strength=x),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", list(NON_FINITE_SPECS))
+def test_specs_refuse_non_finite_values_by_name(field, value):
+    # NaN fails every comparison, so each check admits only what it names
+    with pytest.raises(ValueError, match=field):
+        NON_FINITE_SPECS[field](value)
+
+
 def test_realization_is_deterministic_and_order_free():
     d = DisorderSpec(0.5, 0.3)
     a = sample_disordered_lattice(BASE, d, POLICY, 17)
@@ -161,11 +176,20 @@ def test_a_grid_row_at_a_segment_end_is_that_end(zvals, dz, rows_per_segment):
                         ([], (0.5,)), ([4], (0.5,))]
 
 
-def test_single_clean_realization_equals_direct_evolution():
+@pytest.mark.parametrize("lattice", [BASE, LatticeSpec(99, 1.0, [0.05 * j for j in range(99)])],
+                         ids=["centre_0", "beta_list"])
+def test_single_clean_realization_equals_direct_evolution(lattice):
+    # the ensemble drops the enclosure's centre, evolve_chebyshev returns it
+    # as a phase: bit for bit at centre 0, else to rounding, with the same zeros
     grid = ZGrid(np.array([0.0, 5.0, 15.0]))
-    stats = run_ensemble(BASE, DisorderSpec(0.0, 0.0), SingleSite(49), grid, 1, 7)
-    snap = evolve_chebyshev(build_hamiltonian(BASE), make_initial_state(SingleSite(49), 99), grid)
-    assert np.array_equal(stats.mean_intensity, snap.intensities())
+    h = build_hamiltonian(lattice)
+    stats = run_ensemble(lattice, DisorderSpec(0.0, 0.0), SingleSite(49), grid, 1, 7)
+    snap = evolve_chebyshev(h, make_initial_state(SingleSite(49), 99), grid)
+    if _chebyshev_enclosure(h)[0] == 0.0:
+        assert np.array_equal(stats.mean_intensity, snap.intensities())
+    else:
+        assert np.max(np.abs(stats.mean_intensity - snap.intensities())) <= 1e-15
+        assert np.array_equal(stats.mean_intensity == 0.0, snap.intensities() == 0.0)
     assert np.all(stats.sem_intensity == 0.0)
 
 

@@ -124,7 +124,7 @@ def _apply(diag, off, corner, coeffs, x, terms):
     column j keeps its first terms[j] coefficients and is zero past them."""
     coeffs = np.where(np.arange(coeffs.shape[0])[:, None] < terms, coeffs, 0.0)
     out = np.zeros((len(terms),) + x.shape, dtype=np.complex128)
-    kernels.chebyshev_apply(diag, off, corner, 0.3, 5.0, coeffs, x, out)
+    kernels.chebyshev_apply(out, diag - 0.3, off, corner, 5.0, coeffs, x)
     return out
 
 
@@ -210,7 +210,7 @@ def test_the_kernel_adds_into_its_output(terms):
     coeffs = np.where(np.arange(terms[-1])[:, None] < terms, coeffs, 0.0)
     start = r.normal(size=(terms.size, rows, n)) + 1j * r.normal(size=(terms.size, rows, n))
     out = start.copy()
-    kernels.chebyshev_apply(diag, off, 0.0, 0.3, 5.0, coeffs, x, out)
+    kernels.chebyshev_apply(out, diag - 0.3, off, 0.0, 5.0, coeffs, x)
     alone = _apply(diag, off, 0.0, coeffs, x, terms)
     assert np.max(np.abs(alone)) > 0.1
     assert np.max(np.abs(out - (start + alone))) <= 1e-13

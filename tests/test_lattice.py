@@ -162,6 +162,17 @@ def test_invalid_initial_states_rejected(state, n):
         make_initial_state(state, n)
 
 
+@pytest.mark.parametrize("field,beam", [
+    ("center", GaussianBeam(np.nan, 3.0)),
+    ("center", GaussianBeam(np.inf, 3.0)),
+    ("center", GaussianBeam(-np.inf, 3.0)),
+    ("width_sites", GaussianBeam(5.0, np.nan)),
+], ids=["center_nan", "center_inf", "center_-inf", "width_nan"])
+def test_non_finite_gaussian_beam_is_refused_by_name(field, beam):
+    with pytest.raises(ValueError, match=field):
+        make_initial_state(beam, 11)
+
+
 def test_wavefunction_rejects_bad_norm():
     with pytest.raises(ValueError):
         WaveFunction(np.array([1.0, 1.0], dtype=complex))

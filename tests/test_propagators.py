@@ -301,7 +301,7 @@ def _full_lattice_chebyshev(h, psi0, zgrid, tol):
         coeffs = _chebyshev_table(np.array([halfwidth * z]), tol)
         acc = np.zeros((1, h.n_sites), dtype=np.complex128)
         kernels.chebyshev_apply(
-            h.diag, h.offdiag, h.corner, center, halfwidth, coeffs, psi0.amps, acc
+            acc, h.diag - center, h.offdiag, h.corner, halfwidth, coeffs, psi0.amps
         )
         states[i] = np.exp(-1j * center * z) * acc[0]
     return np.abs(states) ** 2
@@ -360,12 +360,12 @@ def test_one_recurrence_equals_one_call_per_column(launch, boundary):
     xs = halfwidth * np.array([0.0, 0.5, 3.0, 12.0, 80.0])
     coeffs = _chebyshev_table(xs, 1e-12)
     assert coeffs.shape[0] > _WINDOW_N  # the light cone passes both ends
-    args = (diag, h.offdiag, h.corner, center, halfwidth)
+    args = (diag - center, h.offdiag, h.corner, halfwidth)
     got = np.zeros((xs.size,) + psi.shape, dtype=np.complex128)
-    kernels.chebyshev_apply(*args, coeffs, psi, got)
+    kernels.chebyshev_apply(got, *args, coeffs, psi)
     for j, x in enumerate(xs):
         one = np.zeros((1,) + psi.shape, dtype=np.complex128)
-        kernels.chebyshev_apply(*args, _chebyshev_table(np.array([x]), 1e-12), psi, one)
+        kernels.chebyshev_apply(one, *args, _chebyshev_table(np.array([x]), 1e-12), psi)
         assert np.max(np.abs(got[j] - one[0])) <= 1e-15, j
         assert np.array_equal(got[j] == 0.0, one[0] == 0.0), j
 
@@ -378,7 +378,7 @@ def test_zero_padding_of_a_table_is_inert(boundary):
     # running past a chunk of stored terms
     h = build_hamiltonian(_window_lattice(boundary, True))
     center, halfwidth = _chebyshev_enclosure(h)
-    args = (h.diag, h.offdiag, h.corner, center, halfwidth)
+    args = (h.diag - center, h.offdiag, h.corner, halfwidth)
     psi = np.eye(3, _WINDOW_N, k=90)
     table = _chebyshev_table(halfwidth * np.array([0.5, 3.0, 12.0]), 1e-12)
     column = _chebyshev_table(np.array([halfwidth * 3.0]), 1e-12)
@@ -386,7 +386,7 @@ def test_zero_padding_of_a_table_is_inert(boundary):
 
     def apply(coeffs):
         out = np.zeros((coeffs.shape[1],) + psi.shape, dtype=np.complex128)
-        kernels.chebyshev_apply(*args, coeffs, psi, out)
+        kernels.chebyshev_apply(out, *args, coeffs, psi)
         return out
 
     def padded(coeffs):
